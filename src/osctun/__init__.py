@@ -2,10 +2,21 @@
 
 The probability that the n-th oscillator eigenstate is found beyond its
 classical turning points is P_n = 2 int_nu^inf psi_n(x)^2 dx, nu = sqrt(2n+1).
-This package evaluates P_n exactly by adaptive quadrature, through Airy-type
-asymptotic formulas with computed coefficients, and through a uniform
-turning-point approximation with an explicit error bound, plus the sweeps
-that validate them against each other.
+This package evaluates P_n exactly, through Airy-type asymptotic formulas
+with computed coefficients, and through a uniform turning-point
+approximation with an explicit error bound, plus the sweeps that validate
+them against each other.
+
+The exact P_n needs no quadrature.  From d/dx [psi_n psi_{n-1}] =
+sqrt(2n) (psi_{n-1}^2 - psi_n^2) the tail integral telescopes to
+
+    P_n = erfc(nu) + 2 sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k),
+
+a sum of positive terms from one stable pass of the Hermite recurrence at
+x = nu; its err_estimate, 2 (n + 4) eps P_n, covers the recurrence
+rounding, and the rounding of nu to double is corrected to first order
+(see osctun.quadrature).  Adaptive Gauss-Kronrod quadrature computes the
+Airy-weighted integrals and checks the exact P_n in the tests.
 """
 
 from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,

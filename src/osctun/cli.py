@@ -3,13 +3,17 @@
 Numbers print with 12 significant digits (exact integers bare), comma
 delimiter, dot decimal separator, LF line endings; identical invocations
 produce byte-identical output.  Exit codes: 0 success, 2 usage error,
-3 numerical failure (with any partial output file removed).
+3 numerical failure.  Output goes to a temporary file beside --out that
+replaces it only on success, so a failed run leaves no partial file and
+leaves an existing file untouched.
 """
 
 import argparse
 import math
 import os
+import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -180,35 +184,60 @@ def _script_path(out):
     return (root if ext.lower() == ".csv" else out) + ".gnuplot"
 
 
+def _open_temp(target):
+    """A new file beside target, with the mode open(target, "w") gives.
+
+    Output goes there first and replaces target only on success, so a
+    failed run leaves an existing target as it was.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(target) + ".",
+                               suffix=".tmp", dir=os.path.dirname(target))
+    os.fchmod(fd, mode)
+    return os.fdopen(fd, "w", newline=""), tmp
+
+
 def _run(args):
-    fh = None
+    fh = tmp = None
     if args.out != "-":
+        # Replace the file a symlink points to, not the link itself.
+        target = os.path.realpath(args.out)
         try:
-            fh = open(args.out, "w", newline="")
+            fh, tmp = _open_temp(target)
         except OSError as exc:
             print("cannot open %s: %s" % (args.out, exc), file=sys.stderr)
             return 2
     try:
-        result = args.handler(args)
-    except _UsageError as exc:
-        if fh is not None:
-            fh.close()
-            os.unlink(args.out)
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except _NUMERIC_FAILURES + (ValueError,) as exc:
-        if fh is not None:
-            fh.close()
-            os.unlink(args.out)
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
-    text, code = result if isinstance(result, tuple) else (result, 0)
-    if fh is not None:
+        try:
+            result = args.handler(args)
+        except _UsageError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except _NUMERIC_FAILURES + (ValueError,) as exc:
+            print("numerical failure: %s" % exc, file=sys.stderr)
+            return 3
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        if fh is None:
+            sys.stdout.write(text)
+            return code
         fh.write(text)
         fh.close()
-    else:
-        sys.stdout.write(text)
-    if getattr(args, "emit_plot_script", False) and fh is not None:
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
+            return 2
+        tmp = None
+    finally:
+        if tmp is not None:
+            fh.close()
+            os.unlink(tmp)
+    if getattr(args, "emit_plot_script", False):
         spath = _script_path(args.out)
         with open(spath, "w", newline="") as sf:
             sf.write(_plot_script(args.id, os.path.basename(args.out)))

@@ -8,7 +8,28 @@ geometric remainder bound, or by the substitution x = a + u/(1-u) onto (0, 1).
 
 The tunneling probability of oscillator level n is
 
-    P_n = 2 * integral of psi_n(x)^2 from sqrt(2n+1) to infinity.
+    P_n = 2 * integral of psi_n(x)^2 from nu = sqrt(2n+1) to infinity,
+
+and tunneling_exact evaluates it with no quadrature at all.  The ladder
+relation psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1} and the
+three-term recurrence (DLMF 18.9) give
+
+    d/dx [psi_n psi_{n-1}] = sqrt(2n) (psi_{n-1}^2 - psi_n^2),
+
+so I_n(a) = int_a^inf psi_n^2 obeys
+I_n(a) = I_{n-1}(a) + psi_n(a) psi_{n-1}(a) / sqrt(2n), I_0(a) = erfc(a)/2,
+and
+
+    P_n = erfc(nu) + 2 * sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k).
+
+The sum is one pass of the normalized recurrence at x = nu
+(_kernels.hermite_tail_sum).  nu lies beyond the largest zero of every psi_k
+with k <= n, so every term is positive and nothing cancels, and at a fixed x
+beyond the turning point the forward recurrence in k follows its growing
+solution, which makes it stable (Gil, Segura and Temme, Numerical Methods
+for Special Functions, ch. 4).  The adaptive engine stays as the
+independent check of this route in the tests and serves the Airy-weighted
+integrals.
 """
 
 import math
@@ -16,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import _kernels, specfun
 
 __all__ = [
     "QuadratureConfig", "TunnelingResult",
@@ -297,20 +318,39 @@ def integrate_semi_infinite(f, a, config=None, breakpoints=None):
 def tunneling_exact(n, config=None):
     """Exact tunneling probability P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1).
 
-    Returns a TunnelingResult with method "exact"; value lies in [0, 1] and
-    err_estimate includes the quadrature error plus the truncated tail.
+    Parameters
+    ----------
+    n : int
+        Quantum number, n >= 0.
+    config : QuadratureConfig, optional
+        Accepted for call compatibility with the quadrature routines and
+        unused: the value comes from a closed-form sum, not from quadrature.
+
+    Returns
+    -------
+    TunnelingResult
+        method "exact"; value in (0, 1).
+
+    Notes
+    -----
+    The sum in the module docstring is evaluated at the double nu that
+    rounds sqrt(2n+1), with psi_0 taken at that same double so that every
+    term belongs to one function of a.  The rounding of nu alone moves P by
+    up to psi_n^2 ulp(nu), which is 3e-14 of P_n at n = 1000 and grows like
+    n^(2/3) eps: the double-precision limit of any method that takes nu as
+    a double.  To first order the shift is
+    -dP/da * (nu - sqrt(2n+1)) = 2 psi_n^2 * r / (2 nu), where
+    r = nu^2 - (2n+1) is formed exactly with two_prod, and that term is
+    added back.  What remains is rounding in the n recurrence steps and the
+    sum, which grows about linearly in n, so err_estimate = 2 (n + 4) eps P_n.
+    Against 50-digit references at n = 0..1000 the true error stays below
+    a quarter of that.
     """
     state = specfun.OscillatorState.from_n(n)
     nu = state.nu
-
-    def integrand(x):
-        return specfun.hermite_psi_squared(state.n, x)
-
-    # The density's outermost Airy-like lobe has width ~ nu^(-1/3); pin the
-    # first panel edge there so the initial wave resolves it.
-    lobe = min(nu ** (-1.0 / 3.0), 2.0) if nu > 0 else 1.0
-    value, err = integrate_semi_infinite(integrand, nu, config,
-                                         breakpoints=[nu + lobe])
-    p = 2.0 * value
-    return TunnelingResult(n=state.n, value=p, method="exact",
-                           err_estimate=2.0 * err)
+    tail, psi_n = _kernels.hermite_tail_sum(state.n, nu)
+    nu2, nu2_err = _kernels.two_prod(nu, nu)
+    r = (nu2 - (2.0 * state.n + 1.0)) + nu2_err
+    value = math.erfc(nu) + 2.0 * tail + psi_n * psi_n * r / nu
+    return TunnelingResult(n=state.n, value=value, method="exact",
+                           err_estimate=2.0 * (state.n + 4) * _EPS * value)

@@ -107,6 +107,21 @@ class TestUsageErrors:
         assert code == 2
         assert "cannot open" in err
 
+    def test_usage_error_keeps_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "precious.csv"
+        out.write_text("keep me\n")
+        code, _, _ = run_cli(capsys, ["fig", "--id", "9", "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["precious.csv"]
+
+    def test_out_is_directory(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, ["exact", "--n", "0",
+                                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "cannot" in err
+        assert os.listdir(tmp_path) == []
+
     def test_bad_tolerance(self, capsys):
         code, _, _ = run_cli(capsys, ["exact", "--n", "0", "--rel-tol", "-1"])
         assert code == 2
@@ -129,13 +144,36 @@ class TestNumericalFailure:
         assert "numerical failure" in err
         assert not out.exists()
 
+    def test_numeric_failure_keeps_existing_file(self, tmp_path, capsys,
+                                                 monkeypatch):
+        import osctun.cli as climod
+        from osctun.quadrature import NonConvergenceError
+
+        def boom(n, cfg=None):
+            raise NonConvergenceError("stalled", 0.1, 0.2)
+
+        monkeypatch.setattr(climod, "tunneling_exact", boom)
+        out = tmp_path / "precious.csv"
+        out.write_text("keep me\n")
+        code, _, _ = run_cli(capsys, ["exact", "--n", "0", "--out", str(out)])
+        assert code == 3
+        assert out.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["precious.csv"]
+
     def test_unreachable_tolerance_still_completes(self, capsys):
         # The engine stops at its rounding floor rather than burning the
         # whole budget when the requested tolerance is beyond float64.
+        # exact accepts the tolerances without using them; fn runs the
+        # engine.
         code, out, _ = run_cli(capsys, [
             "exact", "--n", "0", "--rel-tol", "1e-30", "--abs-tol", "1e-300"])
         assert code == 0
         assert out.splitlines()[1].startswith("0,0.1572992070")
+        code, out, _ = run_cli(capsys, [
+            "fn", "--n-range", "6:6", "--rel-tol", "1e-30",
+            "--abs-tol", "1e-300"])
+        assert code == 0
+        assert out.splitlines()[1] == "6,1.02526589507"
 
     def test_lemma_failure_exit(self, capsys, monkeypatch):
         fake = analysis.LemmaReport(grid_size=100, max_violation=1e-3,
@@ -156,6 +194,32 @@ class TestOutputPlumbing:
         capsys.readouterr()
         assert code2 == 0
         assert path.read_text() == out
+
+    def test_success_keeps_file_modes(self, tmp_path, capsys):
+        # A new file gets the umask default, a replaced one keeps its mode.
+        new = tmp_path / "new.csv"
+        old = tmp_path / "old.csv"
+        old.write_text("old\n")
+        old.chmod(0o600)
+        for out in (new, old):
+            assert main(["exact", "--n", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert old.read_text().startswith("n,p_exact,err_estimate\n")
+        assert sorted(os.listdir(tmp_path)) == ["new.csv", "old.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert old.stat().st_mode & 0o777 == 0o600
+
+    def test_write_through_symlink(self, tmp_path, capsys):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert main(["exact", "--n", "0", "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink()
+        assert real.read_text().startswith("n,p_exact,err_estimate\n")
 
     def test_byte_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

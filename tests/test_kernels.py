@@ -1,4 +1,5 @@
-"""Backend plumbing: numba and numpy kernel paths must agree."""
+"""Backend plumbing: numba and numpy kernel paths must agree, and the
+shared scalar kernels match independent evaluations."""
 
 import os
 import subprocess
@@ -64,6 +65,27 @@ def test_inversion_converges_just_above_series_seam():
     assert ok
     back = _kernels.zeta_from_e(e)
     assert np.all(np.abs(back - zeta) <= 1e-12 * np.maximum(1.0, zeta))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 44.73, 1000.0, 3e4])
+def test_psi0_scaled_against_mpmath(x):
+    # Far past x ~ 38.6, where exp(-x^2/2) itself underflows.
+    import mpmath
+    m, e = _kernels.psi0_scaled(x)
+    with mpmath.workdps(40):
+        want = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-mpmath.mpf(x) ** 2 / 2)
+        assert abs(mpmath.ldexp(m, e) / want - 1) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 200])
+def test_tail_sum_matches_recurrence(n):
+    nu = np.sqrt(2.0 * n + 1.0)
+    s, psi_n = _kernels.hermite_tail_sum(n, nu)
+    psi = np.array([_kernels.hermite_values(k, np.array([nu]))[0]
+                    for k in range(n + 1)])
+    want = float(np.sum(psi[1:] * psi[:-1] / np.sqrt(2.0 * np.arange(1, n + 1))))
+    assert abs(psi_n - psi[-1]) <= 1e-12 * abs(psi[-1])
+    assert abs(s - want) <= 1e-12 * want
 
 
 @needs_numba

@@ -1,10 +1,15 @@
-"""Adaptive engine against closed forms and independent oracles."""
+"""Adaptive engine against closed forms and independent oracles.
+
+The exact P_n comes from a telescoping sum, not from quadrature; the
+adaptive engine serves as its independent oracle here.
+"""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osctun import specfun
 from osctun.quadrature import (DEFAULT_CONFIG, NonConvergenceError,
@@ -126,22 +131,57 @@ class TestSemiInfinite:
             integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x), 0.0)
 
     def test_strategies_agree_on_tunneling(self):
-        for n in (0, 5, 50):
-            sub = QuadratureConfig(semi_infinite_strategy="substitution")
-            a = tunneling_exact(n).value
-            b = tunneling_exact(n, sub).value
-            assert abs(a - b) < 1e-9
+        # Both semi-infinite routes, as oracles, agree with the closed-form
+        # P_n within the combined error estimates.
+        for strat in ("truncation", "substitution"):
+            cfg = QuadratureConfig(semi_infinite_strategy=strat)
+            for n in (0, 5, 50, 300, 612, 1000):
+                r = tunneling_exact(n)
+                q, q_err = quad_tunneling(n, cfg)
+                assert abs(r.value - q) <= r.err_estimate + q_err, (strat, n)
+
+
+def quad_tunneling(n, config=None):
+    """P_n and its error estimate by adaptive quadrature of psi_n^2."""
+    nu = math.sqrt(2.0 * n + 1.0)
+    # The density's outermost Airy-like lobe has width ~ nu^(-1/3); pin the
+    # first panel edge there so the initial wave resolves it.
+    lobe = min(nu ** (-1.0 / 3.0), 2.0)
+    val, err = integrate_semi_infinite(
+        lambda x: specfun.hermite_psi_squared(n, x), nu, config,
+        breakpoints=[nu + lobe])
+    return 2.0 * val, 2.0 * err
 
 
 def mp_tunneling(n):
-    mpmath.mp.dps = 30
-    nu = mpmath.sqrt(2 * n + 1)
-    norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2 ** n * mpmath.factorial(n))
+    """P_n by 30-digit mpmath quadrature of the Hermite density."""
+    with mpmath.workdps(30):
+        nu = mpmath.sqrt(2 * n + 1)
+        norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2 ** n
+                           * mpmath.factorial(n))
 
-    def dens(x):
-        return (mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm) ** 2
+        def dens(x):
+            return (mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm) ** 2
 
-    return float(2 * mpmath.quad(dens, [nu, nu + 2, nu + 10, mpmath.inf]))
+        return 2 * mpmath.quad(dens, [nu, nu + 2, nu + 10, mpmath.inf])
+
+
+def mp_tail_sum(n):
+    """P_n to 50 digits from the telescoping sum at the exact nu.
+
+    The normalized recurrence runs in mpmath at 50 digits, so the double
+    route's roundings and its rounding of nu are both absent.
+    """
+    with mpmath.workdps(50):
+        nu = mpmath.sqrt(2 * n + 1)
+        prev = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-nu * nu / 2)
+        total = mpmath.erfc(nu)
+        cur = prev
+        for k in range(1, n + 1):
+            prev, cur = cur, (mpmath.sqrt(mpmath.mpf(2) / k) * nu * cur
+                              - mpmath.sqrt(mpmath.mpf(k - 1) / k) * prev)
+            total += 2 * cur * prev / mpmath.sqrt(2 * k)
+        return total
 
 
 class TestTunneling:
@@ -155,8 +195,15 @@ class TestTunneling:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_low_levels_against_mpmath(self, n):
         want = mp_tunneling(n)
-        got = tunneling_exact(n).value
-        assert abs(got - want) < 1e-10
+        r = tunneling_exact(n)
+        assert abs(r.value - want) <= r.err_estimate
+        # The 50-digit reference of the spot checks agrees with quadrature.
+        assert abs(mp_tail_sum(n) - want) < 1e-25
+
+    @pytest.mark.parametrize("n", [100, 300, 612, 1000])
+    def test_err_estimate_bounds_50_digit_error(self, n):
+        r = tunneling_exact(n)
+        assert abs(r.value - mp_tail_sum(n)) <= r.err_estimate
 
     def test_value_in_unit_interval_and_decreasing(self):
         vals = [tunneling_exact(n).value for n in range(0, 51)]
@@ -165,11 +212,43 @@ class TestTunneling:
 
     @pytest.mark.parametrize("n", [0, 10, 100, 1000])
     def test_budget_doubling_stays_within_estimate(self, n):
-        base = tunneling_exact(n)
-        wide = QuadratureConfig(max_subdivisions=4000)
-        again = tunneling_exact(n, wide)
-        assert abs(base.value - again.value) <= max(base.err_estimate, 1e-14)
+        # With twice the default subdivision budget, the quadrature oracle
+        # on either route still agrees within the combined estimates.
+        r = tunneling_exact(n)
+        for strat in ("truncation", "substitution"):
+            wide = QuadratureConfig(max_subdivisions=4000,
+                                    semi_infinite_strategy=strat)
+            q, q_err = quad_tunneling(n, wide)
+            assert abs(r.value - q) <= r.err_estimate + q_err, strat
+
+    def test_config_is_accepted_and_unused(self):
+        sub = QuadratureConfig(semi_infinite_strategy="substitution",
+                               rel_tol=1e-3)
+        assert tunneling_exact(300, sub) == tunneling_exact(300)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             tunneling_exact(-1)
+
+
+class TestLadderIdentity:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(min_value=1, max_value=1000),
+           offset=st.floats(min_value=0.0, max_value=3.0))
+    def test_step_identity_by_quadrature(self, n, offset):
+        # I_n(a) - I_{n-1}(a) = psi_n(a) psi_{n-1}(a) / sqrt(2n) for
+        # I_k(a) = int_a^inf psi_k^2 at any a beyond the turning point.
+        a = math.sqrt(2.0 * n + 1.0) + offset
+        lobe = min((2.0 * n + 1.0) ** (-1.0 / 6.0), 2.0)
+
+        def tail(k):
+            return integrate_semi_infinite(
+                lambda x: specfun.hermite_psi_squared(k, x), a,
+                breakpoints=[a + lobe])
+
+        (i_n, e_n), (i_m, e_m) = tail(n), tail(n - 1)
+        step = (specfun.hermite_psi(n, a) * specfun.hermite_psi(n - 1, a)
+                / math.sqrt(2.0 * n))
+        tol = e_n + e_m + 8.0 * np.finfo(float).eps * (i_n + i_m)
+        assert abs((i_n - i_m) - step) <= tol
