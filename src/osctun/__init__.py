@@ -15,8 +15,10 @@ sqrt(2n) (psi_{n-1}^2 - psi_n^2) the tail integral telescopes to
 a sum of positive terms from one stable pass of the Hermite recurrence at
 x = nu; its err_estimate, 2 (n + 4) eps P_n, covers the recurrence
 rounding, and the rounding of nu to double is corrected to first order
-(see osctun.quadrature).  Adaptive Gauss-Kronrod quadrature computes the
-Airy-weighted integrals and checks the exact P_n in the tests.
+(see osctun.quadrature).  The Airy-weighted integrals F_n come from one
+fixed rule whose weights w_j Ai(t_j)^2 are computed once per process (see
+osctun.asymptotics.big_f_n).  Adaptive Gauss-Kronrod quadrature checks
+both in the tests; no production route runs it.
 """
 
 from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,

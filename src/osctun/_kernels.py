@@ -46,7 +46,6 @@ BACKEND = "numba" if USE_NUMBA else "numpy"
 
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
-LN_PI = math.log(math.pi)
 INV_LN2 = 1.0 / math.log(2.0)
 TWO_13 = 2.0 ** (1.0 / 3.0)        # 2^(1/3)
 TWO_M13 = 2.0 ** (-1.0 / 3.0)
@@ -288,10 +287,13 @@ def hermite_values_numpy(n, x):
     to 0, the correct answer there).
     """
     x = np.asarray(x, dtype=np.float64)
-    log2_psi0 = (-0.25 * LN_PI - 0.5 * x * x) * INV_LN2
-    e_off = np.floor(log2_psi0)
-    m0 = np.exp2(log2_psi0 - e_off)
-    ioff = e_off.astype(np.int64)
+    # psi_0 seeded as in psi0_scaled, elementwise
+    p, q = two_prod(x, x)
+    h = 0.5 * p
+    k = np.rint(h * INV_LN2)
+    kl, kl_err = two_prod(k, LN2_HI)
+    m0 = PI_M14 * np.exp(((kl - h) + kl_err) + (k * LN2_LO - 0.5 * q))
+    ioff = -k.astype(np.int64)
     if n == 0:
         return np.ldexp(m0, ioff)
     m1 = SQRT2 * x * m0
@@ -533,12 +535,11 @@ if USE_NUMBA:
         r = math.sqrt(e * (2.0 + e))
         return 0.75 * ((1.0 + e) * r - math.log1p(e + r))
 
+    _psi0_scaled_s = _nj(psi0_scaled)
+
     @_nj
     def _hermite_scalar(n, x):
-        log2_psi0 = (-0.25 * LN_PI - 0.5 * x * x) * INV_LN2
-        e_off = math.floor(log2_psi0)
-        m0 = 2.0 ** (log2_psi0 - e_off)
-        ioff = int(e_off)
+        m0, ioff = _psi0_scaled_s(x)
         if n == 0:
             return math.ldexp(m0, ioff)
         m1 = SQRT2 * x * m0

@@ -11,6 +11,7 @@ the tail integral gives the leading term C1 n^(-1/3) for the tunneling
 probability and the second-order correction -C2/n.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from . import specfun
-from .quadrature import TunnelingResult, integrate_semi_infinite
+from .quadrature import _WK, _XK, TunnelingResult
 
 __all__ = [
     "ZetaPoint", "OlverApprox", "IterationLimitError",
@@ -36,6 +37,12 @@ _T_AIRY_SQ_INTEGRAL = -specfun.GAMMA.ai_zero * specfun.GAMMA.ai_prime_zero / 3.0
 C1 = 2.0 / (3.0 ** (2.0 / 3.0) * specfun.GAMMA.gamma_one_third ** 2)
 C2 = 0.4 * _T_AIRY_SQ_INTEGRAL
 F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
+
+# The F_n rule: the 15-point Kronrod rule on each unit panel of [0, 14].
+# Past t = 14 the weight Ai(t)^2 <= exp(-(4/3) t^(3/2)) / (4 pi sqrt(t))
+# (DLMF 9.7) and f_n <= 2^(-2/3) leave a tail below 1e-33, far under the
+# rounding of F_n.
+_F_RULE_PANELS = 14
 
 
 @dataclass(frozen=True)
@@ -153,24 +160,39 @@ def _check_order(n):
     return int(n)
 
 
+@functools.cache
+def _airy_weighted_rule():
+    """Nodes t_j and weights w_j Ai(t_j)^2 of the fixed F_n rule.
+
+    Built on the first F_n call, not at import, and kept for the process.
+    """
+    t = (np.arange(_F_RULE_PANELS)[:, None] + 0.5 * (1.0 + _XK)).ravel()
+    ai = specfun.airy_ai_values(t)
+    w = np.tile(0.5 * _WK, _F_RULE_PANELS) * ai * ai
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def big_f_n(n, config=None):
     """The Airy-weighted integral F_n = int_0^inf f_n(t) Ai(t)^2 dt.
 
     Lies in (0, F_INFINITY] and approaches F_INFINITY from below as n grows.
+
+    Only f_n depends on n, so every F_n is one product with the same fixed
+    rule: the 15-point Kronrod rule on 14 unit panels of [0, 14], with the
+    weights w_j Ai(t_j)^2 computed once per process.  config is accepted
+    for call compatibility with the quadrature routines and unused.
+    Against 30-digit mpmath the error stays within 4 eps F_n at
+    n = 1, 6, 37, 100, 500 and 1000.
     """
     n = _check_order(n)
     scale = (2.0 * n + 1.0) ** (-2.0 / 3.0)
-
-    def integrand(t):
-        e, ok = _kernels.invert_zeta_values(scale * t)
-        if not ok:
-            raise IterationLimitError("inversion stalled inside F_n integrand")
-        fv = _kernels.f_from_e(e)
-        ai = specfun.airy_ai_values(t)
-        return fv * ai * ai
-
-    value, _ = integrate_semi_infinite(integrand, 0.0, config)
-    return float(value)
+    t, w = _airy_weighted_rule()
+    e, ok = _kernels.invert_zeta_values(scale * t)
+    if not ok:
+        raise IterationLimitError("inversion stalled on the F_n rule nodes")
+    return float(_kernels.f_from_e(e) @ w)
 
 
 def leading_term(n):

@@ -246,9 +246,13 @@ def _run(args):
 
 def _add_common(sub):
     sub.add_argument("--rel-tol", type=float, default=1e-11,
-                     help="relative quadrature tolerance (default 1e-11)")
+                     help="relative quadrature tolerance, validated but "
+                          "unused: no subcommand runs quadrature "
+                          "(default 1e-11)")
     sub.add_argument("--abs-tol", type=float, default=1e-15,
-                     help="absolute quadrature tolerance (default 1e-15)")
+                     help="absolute quadrature tolerance, validated but "
+                          "unused: no subcommand runs quadrature "
+                          "(default 1e-15)")
     sub.add_argument("--out", default="-",
                      help="output path, or - for stdout (default)")
 

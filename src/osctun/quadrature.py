@@ -27,9 +27,9 @@ The sum is one pass of the normalized recurrence at x = nu
 with k <= n, so every term is positive and nothing cancels, and at a fixed x
 beyond the turning point the forward recurrence in k follows its growing
 solution, which makes it stable (Gil, Segura and Temme, Numerical Methods
-for Special Functions, ch. 4).  The adaptive engine stays as the
-independent check of this route in the tests and serves the Airy-weighted
-integrals.
+for Special Functions, ch. 4).  The adaptive engine stays in the tests as
+the independent check of this route and of the fixed F_n rule in
+asymptotics.big_f_n; no production route runs it.
 """
 
 import math

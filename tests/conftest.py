@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import osctun
@@ -17,3 +19,13 @@ def warm_kernels():
 @pytest.fixture()
 def cfg():
     return osctun.QuadratureConfig()
+
+
+@pytest.fixture()
+def child_env():
+    # A child python imports the same osctun as this process, whether that
+    # came from PYTHONPATH or from pytest's own pythonpath setting.
+    src = os.path.dirname(os.path.dirname(osctun.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))

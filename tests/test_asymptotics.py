@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import osctun
 from osctun import _kernels, specfun
@@ -13,7 +14,8 @@ from osctun.asymptotics import (C1, C2, F_INFINITY, IterationLimitError,
                                 big_f_n, f_n, f_of_x, f_of_x_values,
                                 leading_term, olver_approx, second_order,
                                 x_of_zeta, zeta_of_x, zeta_of_x_values)
-from osctun.quadrature import QuadratureConfig, integrate_semi_infinite
+from osctun.quadrature import (_GAUSS_IDX, _WG, _XK, QuadratureConfig,
+                               integrate_semi_infinite)
 
 
 # --- exact series re-derivation ------------------------------------------
@@ -236,7 +238,91 @@ class TestScaledProfile:
         assert abs(slope + 0.2) < 1e-3
 
 
+def mp_big_f_n(n):
+    """F_n at 30 digits by quadrature in x, with no inversion of the map.
+
+    With t = nu^(4/3) zeta(x) and zeta'(x) = f(x)^(-1/2),
+    F_n = nu^(4/3) int_1^inf sqrt(f(x)) Ai(nu^(4/3) zeta(x))^2 dx.
+    """
+    with mpmath.workdps(30):
+        nu43 = mpmath.mpf(2 * n + 1) ** (mpmath.mpf(2) / 3)
+
+        def zeta(x):
+            r = mpmath.sqrt(x * x - 1)
+            return (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
+                mpmath.mpf(2) / 3)
+
+        def integrand(x):
+            if x == 1:
+                # sqrt(f(1)) = 2^(-1/3), the limit where zeta/(x^2 - 1)
+                # is 0/0
+                return mpmath.cbrt(0.5) * mpmath.airyai(0) ** 2
+            z = zeta(x)
+            return mpmath.sqrt(z / (x * x - 1)) * mpmath.airyai(nu43 * z) ** 2
+
+        # Panel edges where t = 0.5 .. 80 follow the decay of Ai(t)^2.
+        edges = [mpmath.mpf(1)]
+        for t in (0.5, 2, 5, 10, 20, 40, 80):
+            guess = 1 + t / nu43 / mpmath.mpf(2) ** (mpmath.mpf(1) / 3)
+            edges.append(mpmath.findroot(lambda x: nu43 * zeta(x) - t, guess))
+        return nu43 * mpmath.quad(integrand, edges)
+
+
+def quad_big_f_n(n, config=None):
+    """F_n and its error estimate by adaptive quadrature of f_n Ai^2."""
+    scale = (2.0 * n + 1.0) ** (-2.0 / 3.0)
+
+    def integrand(t):
+        e, ok = _kernels.invert_zeta_values(scale * t)
+        assert ok
+        ai = specfun.airy_ai_values(t)
+        return _kernels.f_from_e(e) * ai * ai
+
+    return integrate_semi_infinite(integrand, 0.0, config)
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
 class TestAiryWeightedIntegral:
+    @pytest.mark.parametrize("n", [1, 6, 37, 100, 500, 1000])
+    def test_against_mpmath(self, n):
+        got = big_f_n(n)
+        want = mp_big_f_n(n)
+        assert abs(got - want) <= 4.0 * _EPS * got
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(min_value=1, max_value=10 ** 6))
+    def test_rule_matches_adaptive_quadrature(self, n):
+        got = big_f_n(n)
+        want, err = quad_big_f_n(n)
+        assert abs(got - want) <= err + 8.0 * _EPS * got
+
+    @pytest.mark.parametrize("n", [1, 6, 100, 1000, 10 ** 6])
+    def test_embedded_gauss_gap(self, n):
+        # The 7-point Gauss rule embedded in each 15-point Kronrod panel of
+        # [0, 14] sees the same integrand; a small gap shows the Kronrod
+        # rule has converged.  What the cutoff drops is
+        # int_14^inf Ai^2 = Ai'(14)^2 - 14 Ai(14)^2, times f_n <= 1.
+        t = (np.arange(14)[:, None] + 0.5 * (1.0 + _XK[_GAUSS_IDX])).ravel()
+        scale = (2.0 * n + 1.0) ** (-2.0 / 3.0)
+        e, ok = _kernels.invert_zeta_values(scale * t)
+        assert ok
+        ai = specfun.airy_ai_values(t)
+        gauss = float(_kernels.f_from_e(e) * ai * ai @ np.tile(0.5 * _WG, 14))
+        kronrod = big_f_n(n)
+        assert abs(kronrod - gauss) <= 1e-13 * kronrod
+        with mpmath.workdps(30):
+            tail = (mpmath.airyai(14, derivative=1) ** 2
+                    - 14 * mpmath.airyai(14) ** 2)
+        assert 0.0 < tail < 1e-32
+
+    def test_big_f_n_config_is_accepted_and_unused(self):
+        sub = QuadratureConfig(semi_infinite_strategy="substitution",
+                               rel_tol=1e-3)
+        assert big_f_n(300, sub) == big_f_n(300)
+
     def test_below_limit(self):
         for n in (6, 50, 500):
             assert 0.0 < big_f_n(n) < F_INFINITY

@@ -161,10 +161,9 @@ class TestNumericalFailure:
         assert os.listdir(tmp_path) == ["precious.csv"]
 
     def test_unreachable_tolerance_still_completes(self, capsys):
-        # The engine stops at its rounding floor rather than burning the
-        # whole budget when the requested tolerance is beyond float64.
-        # exact accepts the tolerances without using them; fn runs the
-        # engine.
+        # A tolerance beyond float64 is valid input.  No subcommand runs
+        # the adaptive engine: exact and fn validate the tolerances and
+        # compute without quadrature, so both still complete.
         code, out, _ = run_cli(capsys, [
             "exact", "--n", "0", "--rel-tol", "1e-30", "--abs-tol", "1e-300"])
         assert code == 0
@@ -253,14 +252,14 @@ class TestOutputPlumbing:
 
 
 class TestSubprocessEntry:
-    def test_module_invocation(self, tmp_path):
+    def test_module_invocation(self, tmp_path, child_env):
         res = subprocess.run(
             [sys.executable, "-m", "osctun.cli", "asympt", "--order", "1",
-             "--n", "8"], capture_output=True, text=True)
+             "--n", "8"], capture_output=True, text=True, env=child_env)
         assert res.returncode == 0
         assert res.stdout.splitlines()[1] == "8,0.0669874837797"
 
-    def test_usage_exit_code(self):
+    def test_usage_exit_code(self, child_env):
         res = subprocess.run([sys.executable, "-m", "osctun.cli", "exact"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=child_env)
         assert res.returncode == 2

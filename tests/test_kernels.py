@@ -1,7 +1,6 @@
 """Backend plumbing: numba and numpy kernel paths must agree, and the
 shared scalar kernels match independent evaluations."""
 
-import os
 import subprocess
 import sys
 
@@ -77,6 +76,27 @@ def test_psi0_scaled_against_mpmath(x):
         assert abs(mpmath.ldexp(m, e) / want - 1) <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("n", [500, 1000])
+def test_hermite_values_against_mpmath(n):
+    # Just beyond the turning point, where the tunneling tail lives.  A
+    # psi_0 seed rounded through log2 alone costs about x^2 eps here.
+    import mpmath
+    nu = np.sqrt(2.0 * n + 1.0)
+    x = np.linspace(nu, nu + 1.0, 21)
+    got = _kernels.hermite_values(n, x)
+    with mpmath.workdps(40):
+        ks = range(2, n + 1)
+        a = [None, None] + [mpmath.sqrt(mpmath.mpf(2) / k) for k in ks]
+        b = [None, None] + [mpmath.sqrt(mpmath.mpf(k - 1) / k) for k in ks]
+        for xi, gi in zip(x, got):
+            xm = mpmath.mpf(xi)
+            p0 = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-xm * xm / 2)
+            p1 = mpmath.sqrt(2) * xm * p0
+            for k in range(2, n + 1):
+                p0, p1 = p1, a[k] * xm * p1 - b[k] * p0
+            assert abs(gi / p1 - 1) <= 200 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("n", [0, 1, 40, 200])
 def test_tail_sum_matches_recurrence(n):
     nu = np.sqrt(2.0 * n + 1.0)
@@ -101,8 +121,8 @@ def test_extreme_order_finite():
     assert psi[2] != 0.0
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, OSCTUN_DISABLE_NUMBA="1")
+def test_env_flag_selects_numpy_backend(child_env):
+    env = dict(child_env, OSCTUN_DISABLE_NUMBA="1")
     code = ("import math, osctun\n"
             "assert osctun._kernels.BACKEND == 'numpy'\n"
             "assert osctun._kernels.hermite_values_numba is None\n"
