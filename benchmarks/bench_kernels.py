@@ -1,20 +1,33 @@
-"""Timing comparison of the compiled and plain-numpy kernel paths.
+"""Timings of the kernels and of the multi-level sweeps.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--size 200000] [--repeats 7]
 
-Times three elementwise workloads (oscillator eigenfunctions, the Airy
-function with its error envelope, and the turning-point map inversion)
-through both backends and prints a speedup table.  Needs numba installed;
-run with OSCTUN_DISABLE_NUMBA unset.
+Prints three tables, each the best of --repeats runs:
+
+1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
+   with its error envelope, the turning-point map inversion) on --size
+   points.  The numpy backend is always timed; the compiled backend and
+   its speedup are added when numba is installed and OSCTUN_DISABLE_NUMBA
+   is unset.
+2. Multi-level sweeps computed both ways: P_n by one batched tail-sum pass
+   (_kernels.hermite_tail_sums) against one scalar pass per level
+   (_kernels.hermite_tail_sum), and F_n by the chunked batched rule
+   (big_f_n_values) against one big_f_n call per level.  The route column
+   says which side tunneling_exact_values takes for that P_n sweep.
+3. The cost constant of that choice: one step of the batched pass over one
+   step of the scalar loop, at several batch widths.  A sweep takes the
+   batched pass when the sum of its levels exceeds this constant times its
+   largest level; quadrature._BATCH_STEP_COST holds the value in use.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
 
-from osctun import _kernels
+from osctun import _kernels, asymptotics, quadrature
 
 
 def best_of(repeats, fn, *args):
@@ -26,23 +39,11 @@ def best_of(repeats, fn, *args):
     return best
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", type=int, default=200000,
-                        help="array length per call (default 200000)")
-    parser.add_argument("--repeats", type=int, default=7,
-                        help="timed repetitions, best is kept (default 7)")
-    args = parser.parse_args()
-
-    if _kernels.hermite_values_numba is None:
-        parser.exit(1, "compiled backend unavailable (numba missing or "
-                       "OSCTUN_DISABLE_NUMBA set)\n")
-
+def kernel_table(size, repeats):
     rng = np.random.default_rng(7)
-    x = rng.uniform(-12.0, 12.0, args.size)
-    t = rng.uniform(-1.0, 50.0, args.size)
-    zeta = rng.uniform(0.0, 30.0, args.size)
-
+    x = rng.uniform(-12.0, 12.0, size)
+    t = rng.uniform(-1.0, 50.0, size)
+    zeta = rng.uniform(0.0, 30.0, size)
     cases = [
         ("hermite n=120", _kernels.hermite_values_numba,
          _kernels.hermite_values_numpy, (120, x)),
@@ -51,20 +52,92 @@ def main():
         ("zeta inverse", _kernels.invert_zeta_values_numba,
          _kernels.invert_zeta_values_numpy, (zeta,)),
     ]
-
-    # Warm both paths so compilation stays out of the timings.
-    for _, jit_fn, np_fn, call_args in cases:
-        jit_fn(*call_args)
-        np_fn(*call_args)
-
-    print("size = %d, best of %d runs" % (args.size, args.repeats))
-    print("%-16s %12s %12s %9s" % ("kernel", "numba [ms]", "numpy [ms]",
-                                   "speedup"))
+    compiled = _kernels.hermite_values_numba is not None
+    print("kernels: size = %d, best of %d runs" % (size, repeats))
+    if not compiled:
+        print("(compiled backend unavailable: numba missing or "
+              "OSCTUN_DISABLE_NUMBA set; numpy only)")
+        print("%-16s %12s" % ("kernel", "numpy [ms]"))
+    else:
+        print("%-16s %12s %12s %9s" % ("kernel", "numba [ms]", "numpy [ms]",
+                                       "speedup"))
     for name, jit_fn, np_fn, call_args in cases:
-        t_jit = best_of(args.repeats, jit_fn, *call_args)
-        t_np = best_of(args.repeats, np_fn, *call_args)
+        np_fn(*call_args)
+        t_np = best_of(repeats, np_fn, *call_args)
+        if not compiled:
+            print("%-16s %12.3f" % (name, 1e3 * t_np))
+            continue
+        jit_fn(*call_args)      # compile outside the timing
+        t_jit = best_of(repeats, jit_fn, *call_args)
         print("%-16s %12.3f %12.3f %8.1fx"
               % (name, 1e3 * t_jit, 1e3 * t_np, t_np / t_jit))
+
+
+def _nus(ns):
+    return [math.sqrt(2.0 * n + 1.0) for n in ns]
+
+
+def _scalar_sums(ns, nus):
+    return [_kernels.hermite_tail_sum(n, nu) for n, nu in zip(ns, nus)]
+
+
+def sweep_table(repeats):
+    print("\nsweeps: best of %d runs" % repeats)
+    print("%-22s %9s %12s %12s  %s" % ("sweep", "sum/max", "batched [ms]",
+                                       "loop [ms]", "route"))
+    pn_sweeps = [
+        ("P_n 513..612", list(range(513, 613))),
+        ("P_n 5..612", list(range(5, 613))),
+        ("P_n 0..40 (fig 1)", list(range(0, 41))),
+        ("P_n 0:1000:100", list(range(0, 1001, 100))),
+        ("P_n [1, 20000]", [1, 20000]),
+    ]
+    for name, ns in pn_sweeps:
+        nus = _nus(ns)
+        ratio = sum(ns) / max(ns)
+        t_batch = best_of(repeats, _kernels.hermite_tail_sums, ns, nus)
+        t_loop = best_of(repeats, _scalar_sums, ns, nus)
+        route = ("batched" if ratio > quadrature._BATCH_STEP_COST
+                 else "loop")
+        print("%-22s %9.1f %12.3f %12.3f  %s"
+              % (name, ratio, 1e3 * t_batch, 1e3 * t_loop, route))
+    asymptotics.big_f_n(1)      # build the rule outside the timing
+    fn_sweeps = [("F_n 6..104", list(range(6, 105))),
+                 ("F_n 6..500 (fig 4)", list(range(6, 501)))]
+    for name, ns in fn_sweeps:
+        t_batch = best_of(repeats, asymptotics.big_f_n_values, ns)
+        t_loop = best_of(repeats, lambda: [asymptotics.big_f_n(n)
+                                           for n in ns])
+        print("%-22s %9s %12.3f %12.3f  %s"
+              % (name, "-", 1e3 * t_batch, 1e3 * t_loop, "batched"))
+
+
+def cost_table(repeats, top=2000):
+    print("\ncost constant: batched step / scalar step, levels up to %d "
+          "(in use: %d)" % (top, quadrature._BATCH_STEP_COST))
+    print("%-8s %14s %14s %8s" % ("width", "batched [us]", "scalar [us]",
+                                  "ratio"))
+    for width in (1, 10, 100, 300):
+        ns = list(range(top - width + 1, top + 1))
+        nus = _nus(ns)
+        step_batch = best_of(repeats, _kernels.hermite_tail_sums,
+                             ns, nus) / top
+        step_loop = best_of(repeats, _scalar_sums, ns, nus) / sum(ns)
+        print("%-8d %14.3f %14.3f %8.1f"
+              % (width, 1e6 * step_batch, 1e6 * step_loop,
+                 step_batch / step_loop))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", type=int, default=200000,
+                        help="array length per kernel call (default 200000)")
+    parser.add_argument("--repeats", type=int, default=7,
+                        help="timed repetitions, best is kept (default 7)")
+    args = parser.parse_args()
+    kernel_table(args.size, args.repeats)
+    sweep_table(args.repeats)
+    cost_table(args.repeats)
 
 
 if __name__ == "__main__":

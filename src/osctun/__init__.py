@@ -17,7 +17,9 @@ x = nu; its err_estimate, 2 (n + 4) eps P_n, covers the recurrence
 rounding, and the rounding of nu to double is corrected to first order
 (see osctun.quadrature).  The Airy-weighted integrals F_n come from one
 fixed rule whose weights w_j Ai(t_j)^2 are computed once per process (see
-osctun.asymptotics.big_f_n).  Adaptive Gauss-Kronrod quadrature checks
+osctun.asymptotics.big_f_n).  Sweeps over n (tunneling_exact_values,
+big_f_n_values) share that work across levels and return the bits of
+one call per level.  Adaptive Gauss-Kronrod quadrature checks
 both in the tests; no production route runs it.
 """
 
@@ -26,9 +28,10 @@ from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,
 from .quadrature import (DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig,
                          TruncationFailureError, TunnelingResult,
                          integrate_finite, integrate_semi_infinite,
-                         tunneling_exact)
+                         tunneling_exact, tunneling_exact_values)
 from .asymptotics import (C1, C2, F_INFINITY, IterationLimitError, OlverApprox,
-                          ZetaPoint, big_f_n, f_n, f_of_x, leading_term,
+                          ZetaPoint, big_f_n, big_f_n_values, f_n, f_of_x,
+                          leading_term,
                           olver_approx, second_order, x_of_zeta, zeta_of_x)
 from .analysis import (ComparisonRow, FigureData, LemmaReport, compare_sweep,
                        figure_dataset, lemma_check, ratio_sweep)
@@ -41,8 +44,9 @@ __all__ = [
     "DEFAULT_CONFIG", "NonConvergenceError", "QuadratureConfig",
     "TruncationFailureError", "TunnelingResult",
     "integrate_finite", "integrate_semi_infinite", "tunneling_exact",
+    "tunneling_exact_values",
     "C1", "C2", "F_INFINITY", "IterationLimitError", "OlverApprox",
-    "ZetaPoint", "big_f_n", "f_n", "f_of_x", "leading_term", "olver_approx",
+    "ZetaPoint", "big_f_n", "big_f_n_values", "f_n", "f_of_x", "leading_term", "olver_approx",
     "second_order", "x_of_zeta", "zeta_of_x",
     "ComparisonRow", "FigureData", "LemmaReport", "compare_sweep",
     "figure_dataset", "lemma_check", "ratio_sweep",

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import _kernels
 from . import specfun
-from .quadrature import tunneling_exact
-from .asymptotics import (F_INFINITY, big_f_n, f_of_x, leading_term,
+from .quadrature import tunneling_exact_values
+from .asymptotics import (F_INFINITY, big_f_n_values, f_of_x, leading_term,
                           second_order, zeta_of_x_values)
 
 __all__ = [
@@ -56,13 +56,17 @@ def compare_sweep(n_values, config=None):
 
     Each row combines the exact tail integral with both asymptotic formulas;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
+    Every n is checked before any is computed, and the exact values come
+    from one tunneling_exact_values call.  config is accepted for call
+    compatibility and unused.
     """
-    rows = []
-    for n in n_values:
-        n = int(n)
+    ns = [int(n) for n in n_values]
+    for n in ns:
         if n < 1:
             raise ValueError("comparison requires n >= 1, got %d" % n)
-        p_exact = tunneling_exact(n, config).value
+    rows = []
+    for n, exact in zip(ns, tunneling_exact_values(ns)):
+        p_exact = exact.value
         p_lead = leading_term(n).value
         p_sec = second_order(n).value
         err_lead = abs(p_exact - p_lead)
@@ -106,14 +110,16 @@ def lemma_check(x_max, grid_size):
 
 
 def ratio_sweep(n_min, n_max, config=None):
-    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max."""
+    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max.
+
+    The F_n come from one big_f_n_values call; config is accepted for call
+    compatibility and unused.
+    """
     n_min, n_max = int(n_min), int(n_max)
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    out = []
-    for n in range(n_min, n_max + 1):
-        out.append((n, F_INFINITY / big_f_n(n, config)))
-    return out
+    ns = range(n_min, n_max + 1)
+    return [(n, F_INFINITY / float(fn)) for n, fn in zip(ns, big_f_n_values(ns))]
 
 
 def _figure_one(params, config):
@@ -128,8 +134,8 @@ def _figure_one(params, config):
     for ui in u[inside]:
         rows.append(("classical", float(ui),
                      1.0 / (math.pi * math.sqrt(1.0 - ui * ui))))
-    for m in range(0, n + 1):
-        rows.append(("tunneling", float(m), tunneling_exact(m, config).value))
+    for r in tunneling_exact_values(range(0, n + 1)):
+        rows.append(("tunneling", float(r.n), r.value))
     return ("series", "x", "y"), rows
 
 

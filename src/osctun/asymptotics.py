@@ -25,7 +25,7 @@ __all__ = [
     "ZetaPoint", "OlverApprox", "IterationLimitError",
     "C1", "C2", "F_INFINITY",
     "zeta_of_x", "zeta_of_x_values", "x_of_zeta",
-    "f_of_x", "f_of_x_values", "f_n", "big_f_n",
+    "f_of_x", "f_of_x_values", "f_n", "big_f_n", "big_f_n_values",
     "leading_term", "second_order", "olver_approx",
 ]
 
@@ -43,6 +43,9 @@ F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 # (DLMF 9.7) and f_n <= 2^(-2/3) leave a tail below 1e-33, far under the
 # rounding of F_n.
 _F_RULE_PANELS = 14
+
+# Levels per pass of big_f_n_values: 16 x 210 nodes, 27 KB per array.
+_F_CHUNK_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -181,18 +184,38 @@ def big_f_n(n, config=None):
 
     Only f_n depends on n, so every F_n is one product with the same fixed
     rule: the 15-point Kronrod rule on 14 unit panels of [0, 14], with the
-    weights w_j Ai(t_j)^2 computed once per process.  config is accepted
-    for call compatibility with the quadrature routines and unused.
+    weights w_j Ai(t_j)^2 computed once per process.  This is the
+    one-level case of big_f_n_values.  config is accepted for call
+    compatibility with the quadrature routines and unused.
     Against 30-digit mpmath the error stays within 4 eps F_n at
     n = 1, 6, 37, 100, 500 and 1000.
     """
-    n = _check_order(n)
-    scale = (2.0 * n + 1.0) ** (-2.0 / 3.0)
+    return float(big_f_n_values([n])[0])
+
+
+def big_f_n_values(ns):
+    """F_n for every n in ns, in input order, as a float64 array.
+
+    Every n is checked before any is computed.  Levels go through the rule
+    _F_CHUNK_LEVELS at a time: the map is inverted and f evaluated once on
+    the chunk's (levels x 210) node matrix, then each level takes its own
+    1-D product with the weights, so each F_n has the bits of a one-level
+    call.  The chunk bounds the temporaries of the Newton inversion at a
+    few tens of KB, however many levels there are.
+    """
+    levels = [_check_order(n) for n in ns]
     t, w = _airy_weighted_rule()
-    e, ok = _kernels.invert_zeta_values(scale * t)
-    if not ok:
-        raise IterationLimitError("inversion stalled on the F_n rule nodes")
-    return float(_kernels.f_from_e(e) @ w)
+    out = np.empty(len(levels))
+    for lo in range(0, len(levels), _F_CHUNK_LEVELS):
+        chunk = levels[lo:lo + _F_CHUNK_LEVELS]
+        scale = np.array([(2.0 * n + 1.0) ** (-2.0 / 3.0) for n in chunk])
+        e, ok = _kernels.invert_zeta_values(np.multiply.outer(scale, t).ravel())
+        if not ok:
+            raise IterationLimitError("inversion stalled on the F_n rule nodes")
+        f = _kernels.f_from_e(e).reshape(len(chunk), t.shape[0])
+        for j, row in enumerate(f):
+            out[lo + j] = row @ w
+    return out
 
 
 def leading_term(n):

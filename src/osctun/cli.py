@@ -18,10 +18,11 @@ import tempfile
 import numpy as np
 
 from . import analysis
-from .asymptotics import (F_INFINITY, IterationLimitError, big_f_n,
+from .asymptotics import (F_INFINITY, IterationLimitError, big_f_n_values,
                           leading_term, second_order)
 from .quadrature import (NonConvergenceError, QuadratureConfig,
-                         TruncationFailureError, tunneling_exact)
+                         TruncationFailureError, tunneling_exact,
+                         tunneling_exact_values)
 
 __all__ = ["main", "entry"]
 
@@ -86,12 +87,13 @@ def _collect_n(args):
 
 
 def _cmd_exact(args):
-    cfg = _config(args)
+    _config(args)
     ns = _collect_n(args)
-    rows = []
-    for n in ns:
-        r = tunneling_exact(n, cfg)
-        rows.append((r.n, r.value, r.err_estimate))
+    if args.n is not None:
+        results = [tunneling_exact(ns[0])]
+    else:
+        results = tunneling_exact_values(ns)
+    rows = [(r.n, r.value, r.err_estimate) for r in results]
     return _csv(("n", "p_exact", "err_estimate"), rows)
 
 
@@ -117,11 +119,11 @@ def _cmd_compare(args):
 
 
 def _cmd_fn(args):
-    cfg = _config(args)
+    _config(args)
     ns = args.n_range
     if ns[0] < 1:
         raise _UsageError("fn requires n >= 1")
-    rows = [(n, F_INFINITY / big_f_n(n, cfg)) for n in ns]
+    rows = [(n, F_INFINITY / fn) for n, fn in zip(ns, big_f_n_values(ns))]
     return _csv(("n", "ratio"), rows)
 
 

@@ -23,11 +23,12 @@ and
     P_n = erfc(nu) + 2 * sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k).
 
 The sum is one pass of the normalized recurrence at x = nu
-(_kernels.hermite_tail_sum).  nu lies beyond the largest zero of every psi_k
-with k <= n, so every term is positive and nothing cancels, and at a fixed x
-beyond the turning point the forward recurrence in k follows its growing
-solution, which makes it stable (Gil, Segura and Temme, Numerical Methods
-for Special Functions, ch. 4).  The adaptive engine stays in the tests as
+(_kernels.hermite_tail_sum); tunneling_exact_values runs a sweep of levels
+as one batched pass (_kernels.hermite_tail_sums) when that is cheaper.  nu
+lies beyond the largest zero of every psi_k with k <= n, so every term is
+positive and nothing cancels, and at a fixed x beyond the turning point the
+forward recurrence in k follows its growing solution, which makes it stable
+(Gil, Segura and Temme, Numerical Methods for Special Functions, ch. 4).  The adaptive engine stays in the tests as
 the independent check of this route and of the fixed F_n rule in
 asymptotics.big_f_n; no production route runs it.
 """
@@ -43,9 +44,15 @@ __all__ = [
     "QuadratureConfig", "TunnelingResult",
     "NonConvergenceError", "TruncationFailureError",
     "integrate_finite", "integrate_semi_infinite", "tunneling_exact",
+    "tunneling_exact_values",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# One step of the batched tail-sum pass costs about as much as this many
+# steps of the scalar loop (numpy call overhead against one CPython step),
+# measured with benchmarks/bench_kernels.py; see tunneling_exact_values.
+_BATCH_STEP_COST = 36
 
 # 15-point Kronrod abscissas (ascending) with their weights, and the embedded
 # 7-point Gauss weights on the odd-index nodes.  Frozen to 17 digits.
@@ -347,10 +354,37 @@ def tunneling_exact(n, config=None):
     a quarter of that.
     """
     state = specfun.OscillatorState.from_n(n)
-    nu = state.nu
-    tail, psi_n = _kernels.hermite_tail_sum(state.n, nu)
+    tail, psi_n = _kernels.hermite_tail_sum(state.n, state.nu)
+    return _exact_result(state, tail, psi_n)
+
+
+def _exact_result(state, tail, psi_n):
+    """P_n from the tail sum at nu, with the nu-rounding correction and
+    err_estimate of tunneling_exact."""
+    n, nu = state.n, state.nu
     nu2, nu2_err = _kernels.two_prod(nu, nu)
-    r = (nu2 - (2.0 * state.n + 1.0)) + nu2_err
+    r = (nu2 - (2.0 * n + 1.0)) + nu2_err
     value = math.erfc(nu) + 2.0 * tail + psi_n * psi_n * r / nu
-    return TunnelingResult(n=state.n, value=value, method="exact",
-                           err_estimate=2.0 * (state.n + 4) * _EPS * value)
+    return TunnelingResult(n=n, value=value, method="exact",
+                           err_estimate=2.0 * (n + 4) * _EPS * value)
+
+
+def tunneling_exact_values(ns):
+    """tunneling_exact(n) for every n in ns, in input order, bit for bit.
+
+    Every n is checked before any is computed, and a repeated n is
+    computed once.  The levels share one batched pass of the recurrence
+    (_kernels.hermite_tail_sums), of max n steps, when that is cheaper
+    than one scalar pass per level, of n steps each: that is, when the
+    sum of the levels exceeds _BATCH_STEP_COST times the largest.
+    """
+    states = [specfun.OscillatorState.from_n(n) for n in ns]
+    levels = {st.n: st for st in states}
+    if sum(levels) > _BATCH_STEP_COST * max(levels, default=0):
+        tails, psis = _kernels.hermite_tail_sums(
+            list(levels), [st.nu for st in levels.values()])
+        by_n = {n: _exact_result(st, float(tail), float(psi))
+                for (n, st), tail, psi in zip(levels.items(), tails, psis)}
+    else:
+        by_n = {n: tunneling_exact(n) for n in levels}
+    return [by_n[st.n] for st in states]

@@ -33,6 +33,15 @@ class TestCompareSweep:
         with pytest.raises(ValueError):
             analysis.compare_sweep([3, 0])
 
+    def test_checks_every_level_first(self, monkeypatch):
+        def must_not_run(ns):
+            raise AssertionError("no level may be computed")
+
+        monkeypatch.setattr(analysis, "tunneling_exact_values", must_not_run)
+        with pytest.raises(ValueError, match="comparison requires n >= 1, "
+                                             "got 0"):
+            analysis.compare_sweep(list(range(1, 50)) + [0])
+
 
 class TestLemmaCheck:
     def test_passes_on_reference_grid(self):

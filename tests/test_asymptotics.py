@@ -1,6 +1,7 @@
 """Turning-point map, asymptotic coefficients, and the uniform bound."""
 
 import math
+import tracemalloc
 from fractions import Fraction as Fr
 
 import mpmath
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import osctun
-from osctun import _kernels, specfun
+from osctun import _kernels, asymptotics, specfun
 from osctun.asymptotics import (C1, C2, F_INFINITY, IterationLimitError,
-                                big_f_n, f_n, f_of_x, f_of_x_values,
+                                big_f_n, big_f_n_values, f_n, f_of_x, f_of_x_values,
                                 leading_term, olver_approx, second_order,
                                 x_of_zeta, zeta_of_x, zeta_of_x_values)
 from osctun.quadrature import (_GAUSS_IDX, _WG, _XK, QuadratureConfig,
@@ -347,6 +348,53 @@ class TestAiryWeightedIntegral:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             big_f_n(0)
+
+
+def one_level_f_n(n):
+    # The fixed rule applied to one level alone: a 1-D inversion on the 210
+    # nodes and one dot product.
+    t, w = asymptotics._airy_weighted_rule()
+    e, ok = _kernels.invert_zeta_values((2.0 * n + 1.0) ** (-2.0 / 3.0) * t)
+    assert ok
+    return float(_kernels.f_from_e(e) @ w)
+
+
+class TestFnSweep:
+    """big_f_n_values has the bits of one-level evaluations across the
+    edges of its chunks."""
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 495])
+    def test_equals_one_level_values(self, count):
+        ns = list(range(6, 6 + count))
+        got = big_f_n_values(ns)
+        assert got.shape == (count,)
+        assert [float(v) for v in got] == [one_level_f_n(n) for n in ns]
+
+    def test_large_levels_any_order(self):
+        ns = [10 ** 6, 1, 10 ** 5, 999999, 2000, 10 ** 4, 1, 37]
+        want = [one_level_f_n(n) for n in ns]
+        assert [float(v) for v in big_f_n_values(ns)] == want
+        assert [big_f_n(n) for n in ns] == want
+
+    def test_checks_every_level_first(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("no level may be computed")
+
+        monkeypatch.setattr(_kernels, "invert_zeta_values", must_not_run)
+        with pytest.raises(ValueError):
+            big_f_n_values(list(range(1, 40)) + [0])
+        assert big_f_n_values([]).shape == (0,)
+
+    def test_memory_peak(self):
+        ns = range(6, 501)
+        big_f_n_values(ns)
+        tracemalloc.start()
+        try:
+            big_f_n_values(ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestAsymptoticTerms:

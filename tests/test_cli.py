@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes, artifacts."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -249,6 +250,35 @@ class TestOutputPlumbing:
         p = out.splitlines()[1].split(",")[1]
         assert p == "0.157299207050"
         assert abs(float(p) - math.erfc(1.0)) < 1e-12
+
+
+class TestPinnedBytes:
+    # SHA-256 of the CSVs as the one-level routes wrote them, level by
+    # level; the batched sweeps must reproduce every byte.
+    @pytest.mark.parametrize("fig_id, digest", [
+        (2, "e199eac5fb743eed6c9c66448f3d7804721228d1eafcd1effb7bb34d01617975"),
+        (4, "0e048299b1d4d990240df98a236258d4dd31e86a6c68ce3c7372ca1487523e6a"),
+        (5, "21a69db69795cccb21d36347f36cf13e5b7e4c1f660f074f00ed1d0c5226949e"),
+    ])
+    def test_figure_csv_digest(self, capsys, fig_id, digest):
+        code, out, _ = run_cli(capsys, ["fig", "--id", str(fig_id)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n-range", "0:1000:7"],
+        ["fn", "--n-range", "6:500:7"],
+    ])
+    def test_step_ranges_match_single_levels(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        head, *rows = out.splitlines()
+        for row in rows:
+            n = row.split(",")[0]
+            code, one, _ = run_cli(capsys, [argv[0], "--n-range",
+                                            "%s:%s" % (n, n)])
+            assert code == 0
+            assert one.splitlines() == [head, row]
 
 
 class TestSubprocessEntry:

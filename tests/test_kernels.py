@@ -108,6 +108,18 @@ def test_tail_sum_matches_recurrence(n):
     assert abs(s - want) <= 1e-12 * want
 
 
+def test_tail_sums_match_scalar_loop():
+    # Unsorted, with zeros and repeated levels, and with x off nu so the
+    # columns of one level differ: each column has the scalar loop's bits.
+    n = np.array([300, 0, 17, 1, 300, 0, 612, 2, 17, 1000])
+    x = np.sqrt(2.0 * n + 1.0) + np.linspace(0.0, 0.9, n.size)
+    s, psi = _kernels.hermite_tail_sums(n, x)
+    for j in range(n.size):
+        assert (s[j], psi[j]) == _kernels.hermite_tail_sum(int(n[j]), x[j])
+    s, psi = _kernels.hermite_tail_sums([], [])
+    assert s.shape == psi.shape == (0,)
+
+
 @needs_numba
 def test_extreme_order_finite():
     n = 10 ** 6

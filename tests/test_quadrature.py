@@ -5,17 +5,19 @@ adaptive engine serves as its independent oracle here.
 """
 
 import math
+import random
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osctun import specfun
+from osctun import _kernels, specfun
 from osctun.quadrature import (DEFAULT_CONFIG, NonConvergenceError,
                                QuadratureConfig, TruncationFailureError,
                                integrate_finite, integrate_semi_infinite,
-                               tunneling_exact)
+                               tunneling_exact, tunneling_exact_values)
 
 
 class CountingIntegrand:
@@ -229,6 +231,56 @@ class TestTunneling:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             tunneling_exact(-1)
+
+
+def _must_not_run(*args):
+    raise AssertionError("this route must not run")
+
+
+class TestTunnelingSweep:
+    """tunneling_exact_values has the bits of tunneling_exact on both sides
+    of its cost rule."""
+
+    @pytest.fixture(scope="class")
+    def singles(self):
+        return [tunneling_exact(n) for n in range(1001)]
+
+    def test_dense_sweep_in_order(self, singles):
+        assert tunneling_exact_values(range(1001)) == singles
+
+    def test_shuffled_with_duplicates(self, singles):
+        ns = list(range(1001)) + [0, 0, 1, 7, 612, 1000, 1000]
+        random.Random(11).shuffle(ns)
+        assert tunneling_exact_values(ns) == [singles[n] for n in ns]
+
+    def test_dense_sweep_takes_batched_pass(self, singles, monkeypatch):
+        monkeypatch.setattr(_kernels, "hermite_tail_sum", _must_not_run)
+        assert tunneling_exact_values(range(513, 613)) == singles[513:613]
+
+    @pytest.mark.parametrize("ns", [list(range(0, 1001, 100)), [1, 20000]])
+    def test_sparse_sweep_takes_scalar_loop(self, ns, monkeypatch):
+        want = [tunneling_exact(n) for n in ns]
+        monkeypatch.setattr(_kernels, "hermite_tail_sums", _must_not_run)
+        assert tunneling_exact_values(ns) == want
+
+    def test_checks_every_level_first(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "hermite_tail_sum", _must_not_run)
+        monkeypatch.setattr(_kernels, "hermite_tail_sums", _must_not_run)
+        with pytest.raises(ValueError):
+            tunneling_exact_values(list(range(100)) + [-1])
+        with pytest.raises(TypeError):
+            tunneling_exact_values([3, True])
+        assert tunneling_exact_values([]) == []
+
+    def test_memory_peak(self):
+        tunneling_exact_values(range(5, 613))
+        tracemalloc.start()
+        try:
+            tunneling_exact_values(range(5, 613))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestLadderIdentity:
