@@ -10,11 +10,11 @@ Prints three tables, each the best of --repeats runs:
    points.  The numpy backend is always timed; the compiled backend and
    its speedup are added when numba is installed and OSCTUN_DISABLE_NUMBA
    is unset.
-2. Multi-level sweeps computed both ways: P_n by one batched tail-sum pass
-   (_kernels.hermite_tail_sums) against one scalar pass per level
-   (_kernels.hermite_tail_sum), and F_n by the chunked batched rule
-   (big_f_n_values) against one big_f_n call per level.  The route column
-   says which side tunneling_exact_values takes for that P_n sweep.
+2. Multi-level sweeps.  P_n is computed both ways, by one batched tail-sum
+   pass (_kernels.hermite_tail_sums) against one scalar pass per level
+   (_kernels.hermite_tail_sum); the route column says which side
+   tunneling_exact_values takes.  F_n has one route, the Chebyshev series
+   summed on the vector of levels (big_f_n_values), and is timed alone.
 3. The cost constant of that choice: one step of the batched pass over one
    step of the scalar loop, at several batch widths.  A sweep takes the
    batched pass when the sum of its levels exceeds this constant times its
@@ -101,15 +101,12 @@ def sweep_table(repeats):
                  else "loop")
         print("%-22s %9.1f %12.3f %12.3f  %s"
               % (name, ratio, 1e3 * t_batch, 1e3 * t_loop, route))
-    asymptotics.big_f_n(1)      # build the rule outside the timing
+    print("\n%-22s %12s" % ("sweep", "series [ms]"))
     fn_sweeps = [("F_n 6..104", list(range(6, 105))),
                  ("F_n 6..500 (fig 4)", list(range(6, 501)))]
     for name, ns in fn_sweeps:
-        t_batch = best_of(repeats, asymptotics.big_f_n_values, ns)
-        t_loop = best_of(repeats, lambda: [asymptotics.big_f_n(n)
-                                           for n in ns])
-        print("%-22s %9s %12.3f %12.3f  %s"
-              % (name, "-", 1e3 * t_batch, 1e3 * t_loop, "batched"))
+        t_series = best_of(repeats, asymptotics.big_f_n_values, ns)
+        print("%-22s %12.3f" % (name, 1e3 * t_series))
 
 
 def cost_table(repeats, top=2000):

@@ -15,12 +15,12 @@ sqrt(2n) (psi_{n-1}^2 - psi_n^2) the tail integral telescopes to
 a sum of positive terms from one stable pass of the Hermite recurrence at
 x = nu; its err_estimate, 2 (n + 4) eps P_n, covers the recurrence
 rounding, and the rounding of nu to double is corrected to first order
-(see osctun.quadrature).  The Airy-weighted integrals F_n come from one
-fixed rule whose weights w_j Ai(t_j)^2 are computed once per process (see
-osctun.asymptotics.big_f_n).  Sweeps over n (tunneling_exact_values,
-big_f_n_values) share that work across levels and return the bits of
-one call per level.  Adaptive Gauss-Kronrod quadrature checks
-both in the tests; no production route runs it.
+(see osctun.quadrature).  The Airy-weighted integrals F_n depend on n
+only through s = (2n+1)^(-2/3) and come from an 18-term Chebyshev series
+in s with frozen coefficients (see osctun.asymptotics.big_f_n).  Sweeps
+over n (tunneling_exact_values, big_f_n_values) run in one pass across
+levels and return the bits of one call per level.  Adaptive Gauss-Kronrod
+quadrature checks both in the tests; no production route runs it.
 """
 
 from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,

@@ -11,7 +11,6 @@ the tail integral gives the leading term C1 n^(-1/3) for the tunneling
 probability and the second-order correction -C2/n.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from . import specfun
-from .quadrature import _WK, _XK, TunnelingResult
+from .quadrature import TunnelingResult
 
 __all__ = [
     "ZetaPoint", "OlverApprox", "IterationLimitError",
@@ -38,14 +37,33 @@ C1 = 2.0 / (3.0 ** (2.0 / 3.0) * specfun.GAMMA.gamma_one_third ** 2)
 C2 = 0.4 * _T_AIRY_SQ_INTEGRAL
 F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 
-# The F_n rule: the 15-point Kronrod rule on each unit panel of [0, 14].
-# Past t = 14 the weight Ai(t)^2 <= exp(-(4/3) t^(3/2)) / (4 pi sqrt(t))
-# (DLMF 9.7) and f_n <= 2^(-2/3) leave a tail below 1e-33, far under the
-# rounding of F_n.
-_F_RULE_PANELS = 14
-
-# Levels per pass of big_f_n_values: 16 x 210 nodes, 27 KB per array.
-_F_CHUNK_LEVELS = 16
+# F_n depends on n only through s = nu^(-4/3) = (2n+1)^(-2/3), which runs
+# over (0, 3^(-2/3)] for n >= 1, and F(s) is smooth on [0, 3^(-2/3)] with
+# F(0) = F_INFINITY.  F(s) = sum_k c_k T_k(2s/3^(-2/3) - 1); |c_k| falls
+# about tenfold per degree and the first dropped one, c_18, is 2e-20.
+# Written verbatim by tools/gen_f_series.py from 30-digit mpmath samples
+# at 24 Chebyshev points; do not edit by hand.
+_BIG_F_CHEBYSHEV = (
+    0.04089054596539395,
+    -0.0012593471775208536,
+    4.688956440528202e-05,
+    -2.5065549140734746e-06,
+    1.669470790929729e-07,
+    -1.2980146991378194e-08,
+    1.1353849355342954e-09,
+    -1.0913036754151984e-10,
+    1.1340963462031505e-11,
+    -1.2593406663856906e-12,
+    1.4810095820323638e-13,
+    -1.8317893134789058e-14,
+    2.3696334034970385e-15,
+    -3.1915582572687045e-16,
+    4.458641683126328e-17,
+    -6.440220320953348e-18,
+    9.592247901234408e-19,
+    -1.4697624216915427e-19,
+)
+_S_MAX = 3.0 ** (-2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -163,18 +181,15 @@ def _check_order(n):
     return int(n)
 
 
-@functools.cache
-def _airy_weighted_rule():
-    """Nodes t_j and weights w_j Ai(t_j)^2 of the fixed F_n rule.
-
-    Built on the first F_n call, not at import, and kept for the process.
-    """
-    t = (np.arange(_F_RULE_PANELS)[:, None] + 0.5 * (1.0 + _XK)).ravel()
-    ai = specfun.airy_ai_values(t)
-    w = np.tile(0.5 * _WK, _F_RULE_PANELS) * ai * ai
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+def _big_f_of_s(s):
+    """F(s) on an array of s in [0, 3^(-2/3)], by Clenshaw's recurrence."""
+    x = 2.0 * s / _S_MAX - 1.0
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for c in _BIG_F_CHEBYSHEV[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return _BIG_F_CHEBYSHEV[0] + x * b1 - b2
 
 
 def big_f_n(n, config=None):
@@ -182,13 +197,12 @@ def big_f_n(n, config=None):
 
     Lies in (0, F_INFINITY] and approaches F_INFINITY from below as n grows.
 
-    Only f_n depends on n, so every F_n is one product with the same fixed
-    rule: the 15-point Kronrod rule on 14 unit panels of [0, 14], with the
-    weights w_j Ai(t_j)^2 computed once per process.  This is the
-    one-level case of big_f_n_values.  config is accepted for call
-    compatibility with the quadrature routines and unused.
-    Against 30-digit mpmath the error stays within 4 eps F_n at
-    n = 1, 6, 37, 100, 500 and 1000.
+    F_n depends on n only through s = (2n+1)^(-2/3), and is summed from an
+    18-term Chebyshev series in s with frozen coefficients (see
+    tools/gen_f_series.py).  This is the one-level case of big_f_n_values.
+    config is accepted for call compatibility with the quadrature routines
+    and unused.  Against 30-digit mpmath the error stays within 4 eps F_n
+    from n = 1 to 10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
     """
     return float(big_f_n_values([n])[0])
 
@@ -196,26 +210,12 @@ def big_f_n(n, config=None):
 def big_f_n_values(ns):
     """F_n for every n in ns, in input order, as a float64 array.
 
-    Every n is checked before any is computed.  Levels go through the rule
-    _F_CHUNK_LEVELS at a time: the map is inverted and f evaluated once on
-    the chunk's (levels x 210) node matrix, then each level takes its own
-    1-D product with the weights, so each F_n has the bits of a one-level
-    call.  The chunk bounds the temporaries of the Newton inversion at a
-    few tens of KB, however many levels there are.
+    Every n is checked before any is computed; then the series is summed
+    once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
     levels = [_check_order(n) for n in ns]
-    t, w = _airy_weighted_rule()
-    out = np.empty(len(levels))
-    for lo in range(0, len(levels), _F_CHUNK_LEVELS):
-        chunk = levels[lo:lo + _F_CHUNK_LEVELS]
-        scale = np.array([(2.0 * n + 1.0) ** (-2.0 / 3.0) for n in chunk])
-        e, ok = _kernels.invert_zeta_values(np.multiply.outer(scale, t).ravel())
-        if not ok:
-            raise IterationLimitError("inversion stalled on the F_n rule nodes")
-        f = _kernels.f_from_e(e).reshape(len(chunk), t.shape[0])
-        for j, row in enumerate(f):
-            out[lo + j] = row @ w
-    return out
+    nu2 = 2.0 * np.array(levels, dtype=np.float64) + 1.0
+    return _big_f_of_s(nu2 ** (-2.0 / 3.0))
 
 
 def leading_term(n):

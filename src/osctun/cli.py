@@ -52,6 +52,15 @@ def _csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
+def _fits_double(n):
+    # Every level-taking route works with nu^2 = 2n + 1 as a double.
+    try:
+        float(2 * n + 1)
+    except OverflowError:
+        return False
+    return True
+
+
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) not in (2, 3):
@@ -64,6 +73,10 @@ def _parse_range(text):
     step = nums[2] if len(nums) == 3 else 1
     if a < 0 or b < a or step < 1:
         raise argparse.ArgumentTypeError("range requires 0 <= a <= b, step >= 1")
+    last = b - (b - a) % step
+    if not _fits_double(last):
+        raise argparse.ArgumentTypeError(
+            "levels too large: 2n+1 must fit a double")
     return list(range(a, b + 1, step))
 
 
@@ -82,12 +95,13 @@ def _collect_n(args):
     if args.n is not None:
         if args.n < 0:
             raise _UsageError("--n must be nonnegative")
+        if not _fits_double(args.n):
+            raise _UsageError("--n is too large: 2n+1 must fit a double")
         return [args.n]
     return args.n_range
 
 
 def _cmd_exact(args):
-    _config(args)
     ns = _collect_n(args)
     if args.n is not None:
         results = [tunneling_exact(ns[0])]
@@ -107,19 +121,17 @@ def _cmd_asympt(args):
 
 
 def _cmd_compare(args):
-    cfg = _config(args)
     if any(n < 1 for n in args.n_range):
         raise _UsageError("compare requires n >= 1")
     cols = ("n", "p_exact", "p_leading", "p_second",
             "err_leading", "err_second", "scaled_err_second")
     rows = [(r.n, r.p_exact, r.p_leading, r.p_second,
              r.err_leading, r.err_second, r.scaled_err_second)
-            for r in analysis.compare_sweep(args.n_range, cfg)]
+            for r in analysis.compare_sweep(args.n_range, args.config)]
     return _csv(cols, rows)
 
 
 def _cmd_fn(args):
-    _config(args)
     ns = args.n_range
     if ns[0] < 1:
         raise _UsageError("fn requires n >= 1")
@@ -171,13 +183,12 @@ def _plot_script(figure_id, csv_name):
 
 
 def _cmd_fig(args):
-    cfg = _config(args)
     if args.id not in (1, 2, 3, 4, 5):
         raise _UsageError("unknown figure id %d" % args.id)
     if args.emit_plot_script and args.out == "-":
         raise _UsageError("--emit-plot-script needs --out FILE for the "
                           "script to reference")
-    data = analysis.figure_dataset(args.id, config=cfg)
+    data = analysis.figure_dataset(args.id, config=args.config)
     return _csv(data.columns, data.rows)
 
 
@@ -216,6 +227,9 @@ def _run(args):
             return 2
     try:
         try:
+            # Every subcommand validates the tolerance flags, whether or
+            # not it uses them.
+            args.config = _config(args)
             result = args.handler(args)
         except _UsageError as exc:
             print("error: %s" % exc, file=sys.stderr)

@@ -28,9 +28,10 @@ as one batched pass (_kernels.hermite_tail_sums) when that is cheaper.  nu
 lies beyond the largest zero of every psi_k with k <= n, so every term is
 positive and nothing cancels, and at a fixed x beyond the turning point the
 forward recurrence in k follows its growing solution, which makes it stable
-(Gil, Segura and Temme, Numerical Methods for Special Functions, ch. 4).  The adaptive engine stays in the tests as
-the independent check of this route and of the fixed F_n rule in
-asymptotics.big_f_n; no production route runs it.
+(Gil, Segura and Temme, Numerical Methods for Special Functions, ch. 4).
+The adaptive engine stays in the tests as the independent check of this
+route and of the F_n series in asymptotics.big_f_n; no production route
+runs it.
 """
 
 import math

@@ -127,6 +127,38 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, ["exact", "--n", "0", "--rel-tol", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--rel-tol", "-1"],
+                                      ["--abs-tol", "nan"]])
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", "0"],
+        ["asympt", "--order", "1", "--n", "5"],
+        ["compare", "--n-range", "5:6"],
+        ["fn", "--n-range", "6:6"],
+        ["lemma"],
+        ["fig", "--id", "3"],
+    ])
+    def test_bad_tolerance_every_subcommand(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, argv + flag)
+        assert code == 2
+        assert out == ""
+        assert "must be positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", str(10 ** 400)],
+        ["exact", "--n-range", "%d:%d" % (10 ** 400, 10 ** 400)],
+        ["asympt", "--order", "2", "--n", str(10 ** 400)],
+        ["compare", "--n-range", "1:%d" % 10 ** 400],
+        ["fn", "--n-range", "%d:%d" % (10 ** 400, 10 ** 400)],
+    ])
+    def test_level_too_large_for_a_double(self, capsys, argv):
+        # 2n+1 must fit a double; the compare range is refused before its
+        # levels are listed.
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "2n+1 must fit a double" in err
+        assert "Traceback" not in err
+
 
 class TestNumericalFailure:
     def test_exit_three_and_no_partial_file(self, tmp_path, capsys,
