@@ -7,9 +7,7 @@ Prints three tables, each the best of --repeats runs:
 
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
-   points.  The numpy backend is always timed; the compiled backend and
-   its speedup are added when numba is installed and OSCTUN_DISABLE_NUMBA
-   is unset.
+   points.
 2. Multi-level sweeps.  P_n is computed both ways, by one batched tail-sum
    pass (_kernels.hermite_tail_sums) against one scalar pass per level
    (_kernels.hermite_tail_sum); the route column says which side
@@ -45,33 +43,15 @@ def kernel_table(size, repeats):
     t = rng.uniform(-1.0, 50.0, size)
     zeta = rng.uniform(0.0, 30.0, size)
     cases = [
-        ("hermite n=120", _kernels.hermite_values_numba,
-         _kernels.hermite_values_numpy, (120, x)),
-        ("airy [-1,50]", _kernels.airy_values_numba,
-         _kernels.airy_values_numpy, (t,)),
-        ("zeta inverse", _kernels.invert_zeta_values_numba,
-         _kernels.invert_zeta_values_numpy, (zeta,)),
+        ("hermite n=120", _kernels.hermite_values, (120, x)),
+        ("airy [-1,50]", _kernels.airy_values, (t,)),
+        ("zeta inverse", _kernels.invert_zeta_values, (zeta,)),
     ]
-    compiled = _kernels.hermite_values_numba is not None
     print("kernels: size = %d, best of %d runs" % (size, repeats))
-    if not compiled:
-        print("(compiled backend unavailable: numba missing or "
-              "OSCTUN_DISABLE_NUMBA set; numpy only)")
-        print("%-16s %12s" % ("kernel", "numpy [ms]"))
-    else:
-        print("%-16s %12s %12s %9s" % ("kernel", "numba [ms]", "numpy [ms]",
-                                       "speedup"))
-    for name, jit_fn, np_fn, call_args in cases:
-        np_fn(*call_args)
-        t_np = best_of(repeats, np_fn, *call_args)
-        if not compiled:
-            print("%-16s %12.3f" % (name, 1e3 * t_np))
-            continue
-        jit_fn(*call_args)      # compile outside the timing
-        t_jit = best_of(repeats, jit_fn, *call_args)
-        print("%-16s %12.3f %12.3f %8.1fx"
-              % (name, 1e3 * t_jit, 1e3 * t_np, t_np / t_jit))
-
+    print("%-16s %12s" % ("kernel", "time [ms]"))
+    for name, fn, call_args in cases:
+        fn(*call_args)
+        print("%-16s %12.3f" % (name, 1e3 * best_of(repeats, fn, *call_args)))
 
 def _nus(ns):
     return [math.sqrt(2.0 * n + 1.0) for n in ns]

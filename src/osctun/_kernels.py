@@ -1,11 +1,4 @@
-"""Low-level numerical kernels with two interchangeable backends.
-
-The default backend compiles the scalar hot loops with numba (lazily, with an
-on-disk cache); a pure-numpy vectorized fallback is selected when numba is not
-importable or when the environment variable ``OSCTUN_DISABLE_NUMBA`` is set to
-1/true/yes.  Both backends are always importable (when numba exists) under
-``*_numba`` / ``*_numpy`` names so tests and benchmarks can compare them; the
-unsuffixed names are the active aliases.
+"""Low-level numerical kernels, vectorized with numpy.
 
 Everything here operates on raw float64 scalars/arrays and performs no input
 validation; the public modules own the contracts.
@@ -22,27 +15,15 @@ Kernels:
                               series near e = x - 1 = 0, direct form elsewhere
 - hermite_tail_sum(n, x):     sum of psi_k psi_{k-1} / sqrt(2k) over k <= n
                               and psi_n at one x beyond the turning point; a
-                              plain Python scalar loop on both backends
+                              plain Python scalar loop
 - hermite_tail_sums(n, x):    the same for many (n_j, x_j) at once, one
                               numpy pass over k <= max n with the scalar
-                              loop's bits; numpy on both backends
+                              loop's bits
 """
 
 import math
-import os
 
 import numpy as np
-
-try:
-    import numba
-except ImportError:
-    numba = None
-
-HAVE_NUMBA = numba is not None
-NUMBA_DISABLED = os.environ.get("OSCTUN_DISABLE_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on")
-USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-BACKEND = "numba" if USE_NUMBA else "numpy"
 
 # ---------------------------------------------------------------------------
 # constants
@@ -194,7 +175,7 @@ def dd_div_d(ah, al, b):
 
 
 # ---------------------------------------------------------------------------
-# elementwise turning-point map pieces (shared by both backends)
+# elementwise turning-point map pieces
 
 def zeta_series_factor(e):
     """Horner sum of the zeta series in e; zeta = 2^(1/3) * e * factor."""
@@ -232,8 +213,7 @@ def g_of_e(e):
 
 
 # ---------------------------------------------------------------------------
-# telescoping tail sum: scalar loop and its batched form (shared by both
-# backends)
+# telescoping tail sum: scalar loop and its batched form
 
 def psi0_scaled(x):
     """(m, e) with psi_0(x) = m * 2^e to a few ulp, for any float x.
@@ -354,9 +334,9 @@ def hermite_tail_sums(n, x):
 
 
 # ---------------------------------------------------------------------------
-# numpy backend
+# Hermite recurrence, Airy function and inverse turning-point map on arrays
 
-def hermite_values_numpy(n, x):
+def hermite_values(n, x):
     """psi_n at each x via the normalized recurrence on a scaled mantissa.
 
     The mantissa pair renormalizes through a power-of-2 exponent offset, so no
@@ -397,7 +377,7 @@ def hermite_values_numpy(n, x):
     return np.ldexp(m1, ioff)
 
 
-def _airy_series_np(t):
+def _airy_series(t):
     # F, G Maclaurin sums and their derivative sums, all in double-double;
     # the t^3 power also stays in dd so high terms do not drift
     t3h, t3l = two_prod(t, t)
@@ -459,7 +439,7 @@ def _airy_series_np(t):
     return aih, aiph, err
 
 
-def _airy_asym_np(t):
+def _airy_asym(t):
     st = np.sqrt(t)
     z = (2.0 / 3.0) * t * st
     s_ai = np.ones_like(t)
@@ -490,20 +470,22 @@ def _airy_asym_np(t):
     return ai, aip, err
 
 
-def airy_values_numpy(t):
+def airy_values(t):
+    """(Ai, Ai', err_estimate, method) at each t; method is AIRY_SERIES at
+    t <= T_SWITCH and AIRY_ASYMPTOTIC above."""
     t = np.asarray(t, dtype=np.float64)
     ai = np.empty_like(t)
     aip = np.empty_like(t)
     err = np.empty_like(t)
     ser = t <= T_SWITCH
     if ser.any():
-        a, ap, e = _airy_series_np(t[ser])
+        a, ap, e = _airy_series(t[ser])
         ai[ser] = a
         aip[ser] = ap
         err[ser] = e
     asym = ~ser
     if asym.any():
-        a, ap, e = _airy_asym_np(t[asym])
+        a, ap, e = _airy_asym(t[asym])
         ai[asym] = a
         aip[asym] = ap
         err[asym] = e
@@ -511,7 +493,7 @@ def airy_values_numpy(t):
     return ai, aip, err, method
 
 
-def invert_zeta_values_numpy(zeta):
+def invert_zeta_values(zeta):
     """x - 1 solving the forward map = zeta, per element.
 
     Returns (e, ok); ok is False when any element hit the iteration cap
@@ -550,8 +532,7 @@ def invert_zeta_values_numpy(zeta):
         outside = (enew <= lo) | (enew >= hi)
         enew = np.where(outside, 0.5 * (lo + hi), enew)
         # Fixed point: the update cannot move e, so the residual is
-        # roundoff-limited and the iterate is accepted (scalar core does
-        # the same).
+        # roundoff-limited and the iterate is accepted.
         active = active & (enew != e)
         e = np.where(active, enew, e)
     return e, not active.any()
@@ -573,244 +554,3 @@ def f_from_e(e):
     denom = np.where(small, 1.0, e * (2.0 + e))
     direct = g_of_e(e) ** (2.0 / 3.0) / denom
     return np.where(small, ser, direct)
-
-
-# ---------------------------------------------------------------------------
-# numba backend: scalar cores compiled lazily, cached on disk
-
-if USE_NUMBA:
-    _nj = numba.njit(cache=True)
-
-    # Rebind the shared elementwise helpers to compiled dispatchers.  The
-    # composite bodies resolve these globals lazily at first-call compile
-    # time, so the whole chain must point at dispatchers before then; the
-    # vectorized backend keeps working since the same dispatchers accept
-    # array arguments.
-    two_sum = _nj(two_sum)
-    quick_two_sum = _nj(quick_two_sum)
-    two_prod = _nj(two_prod)
-    dd_add = _nj(dd_add)
-    dd_mul = _nj(dd_mul)
-    dd_mul_d = _nj(dd_mul_d)
-    dd_div_d = _nj(dd_div_d)
-    zeta_series_factor = _nj(zeta_series_factor)
-    f_series_factor = _nj(f_series_factor)
-    inv_series_e = _nj(inv_series_e)
-
-    _two_sum = two_sum
-    _quick_two_sum = quick_two_sum
-    _two_prod = two_prod
-    _dd_add = dd_add
-    _dd_mul = dd_mul
-    _dd_mul_d = dd_mul_d
-    _dd_div_d = dd_div_d
-    _zeta_series_factor = zeta_series_factor
-    _f_series_factor = f_series_factor
-    _inv_series_e = inv_series_e
-
-    @_nj
-    def _g_of_e_s(e):
-        r = math.sqrt(e * (2.0 + e))
-        return 0.75 * ((1.0 + e) * r - math.log1p(e + r))
-
-    _psi0_scaled_s = _nj(psi0_scaled)
-
-    @_nj
-    def _hermite_scalar(n, x):
-        m0, ioff = _psi0_scaled_s(x)
-        if n == 0:
-            return math.ldexp(m0, ioff)
-        m1 = SQRT2 * x * m0
-        for k in range(2, n + 1):
-            m2 = math.sqrt(2.0 / k) * x * m1 - math.sqrt((k - 1.0) / k) * m0
-            m0 = m1
-            m1 = m2
-            a1 = abs(m1)
-            if a1 > _RESCALE_HI:
-                m0 *= _RESCALE_LO
-                m1 *= _RESCALE_LO
-                ioff += 600
-            elif a1 < _RESCALE_LO and abs(m0) < _RESCALE_LO:
-                m0 *= _RESCALE_HI
-                m1 *= _RESCALE_HI
-                ioff -= 600
-        return math.ldexp(m1, ioff)
-
-    @_nj
-    def hermite_values_numba(n, x):
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            out[i] = _hermite_scalar(n, x[i])
-        return out
-
-    @_nj
-    def _airy_series_s(t):
-        t3h, t3l = _two_prod(t, t)
-        t3h, t3l = _dd_mul_d(t3h, t3l, t)
-        fh, fl = 1.0, 0.0
-        gh, gl = t, 0.0
-        fth, ftl = 1.0, 0.0
-        gth, gtl = t, 0.0
-        mag = 1.0 + abs(t)
-        for k in range(_MAX_TERMS):
-            fth, ftl = _dd_mul(fth, ftl, t3h, t3l)
-            fth, ftl = _dd_div_d(fth, ftl, (3.0 * k + 2.0) * (3.0 * k + 3.0))
-            fh, fl = _dd_add(fh, fl, fth, ftl)
-            gth, gtl = _dd_mul(gth, gtl, t3h, t3l)
-            gth, gtl = _dd_div_d(gth, gtl, (3.0 * k + 3.0) * (3.0 * k + 4.0))
-            gh, gl = _dd_add(gh, gl, gth, gtl)
-            mag += abs(fth) + abs(gth)
-            if abs(fth) < 1e-35 * abs(fh) and abs(gth) < 1e-35 * max(abs(gh), 1e-300):
-                break
-        fph, fpl = _two_prod(t, t)
-        fph, fpl = _dd_div_d(fph, fpl, 2.0)
-        fpth, fptl = fph, fpl
-        k = 1
-        while k < _MAX_TERMS:
-            nh, nl = _dd_mul(fpth, fptl, t3h, t3l)
-            nh, nl = _dd_mul_d(nh, nl, float(k + 1))
-            nh, nl = _dd_div_d(nh, nl, float(k) * (3.0 * k + 2.0) * (3.0 * k + 3.0))
-            fpth, fptl = nh, nl
-            fph, fpl = _dd_add(fph, fpl, fpth, fptl)
-            if abs(fpth) < 1e-35 * max(abs(fph), 1e-300):
-                break
-            k += 1
-        gph, gpl = 1.0, 0.0
-        gpth, gptl = 1.0, 0.0
-        k = 0
-        while k < _MAX_TERMS:
-            nh, nl = _dd_mul(gpth, gptl, t3h, t3l)
-            nh, nl = _dd_div_d(nh, nl, (3.0 * k + 1.0) * (3.0 * k + 3.0))
-            gpth, gptl = nh, nl
-            gph, gpl = _dd_add(gph, gpl, gpth, gptl)
-            if abs(gpth) < 1e-35 * max(abs(gph), 1e-300):
-                break
-            k += 1
-        ah, al = _dd_mul(fh, fl, AI0_HI, AI0_LO)
-        bh, bl = _dd_mul(gh, gl, AIP0_HI, AIP0_LO)
-        aih, _ = _dd_add(ah, al, bh, bl)
-        ah, al = _dd_mul(fph, fpl, AI0_HI, AI0_LO)
-        bh, bl = _dd_mul(gph, gpl, AIP0_HI, AIP0_LO)
-        aiph, _ = _dd_add(ah, al, bh, bl)
-        err = 2.5e-16 * abs(aih) + 1e-31 * mag
-        return aih, aiph, err
-
-    @_nj
-    def _airy_asym_s(t):
-        st = math.sqrt(t)
-        z = (2.0 / 3.0) * t * st
-        s_ai = 1.0
-        s_aip = 1.0
-        zk = 1.0
-        prev = 1e308
-        dropped = 0.0
-        sign = -1.0
-        for k in range(1, 21):
-            zk *= z
-            term = _ASY_U[k] / zk
-            if abs(term) >= abs(prev):
-                dropped = abs(term)
-                break
-            s_ai += sign * term
-            s_aip += sign * (_ASY_V[k] / zk)
-            dropped = abs(term)
-            prev = term
-            sign = -sign
-        q = t ** 0.25
-        ez = math.exp(-z)
-        pref = ez / (2.0 * SQRT_PI * q)
-        ai = pref * s_ai
-        aip = -q * ez / (2.0 * SQRT_PI) * s_aip
-        err = abs(ai) * ((z + 6.0) * 3e-16) + pref * dropped
-        return ai, aip, err
-
-    @_nj
-    def airy_values_numba(t):
-        ai = np.empty_like(t)
-        aip = np.empty_like(t)
-        err = np.empty_like(t)
-        method = np.empty(t.shape[0], dtype=np.int8)
-        for i in range(t.shape[0]):
-            ti = t[i]
-            if ti <= T_SWITCH:
-                a, ap, e = _airy_series_s(ti)
-                method[i] = AIRY_SERIES
-            else:
-                a, ap, e = _airy_asym_s(ti)
-                method[i] = AIRY_ASYMPTOTIC
-            ai[i] = a
-            aip[i] = ap
-            err[i] = e
-        return ai, aip, err, method
-
-    @_nj
-    def _invert_zeta_scalar(zeta):
-        if zeta <= ZETA_INV_SERIES:
-            return _inv_series_e(zeta)
-        w = zeta * math.sqrt(zeta)
-        if zeta <= 1.2:
-            e = _inv_series_e(zeta)
-        else:
-            e = math.sqrt(4.0 * w / 3.0) - 1.0
-        lo = 0.0
-        hi = 2.0 * e + 1.0
-        for _ in range(60):
-            if _g_of_e_s(hi) >= w:
-                break
-            hi *= 2.0
-        for _ in range(_NEWTON_MAX):
-            g = _g_of_e_s(e)
-            resid = g - w
-            if g < w:
-                if e > lo:
-                    lo = e
-            else:
-                if e < hi:
-                    hi = e
-            if abs(resid) <= _NEWTON_RTOL * w:
-                return e
-            dg = 1.5 * math.sqrt(e * (2.0 + e))
-            enew = e - resid / dg
-            if enew <= lo or enew >= hi:
-                enew = 0.5 * (lo + hi)
-            if enew == e:
-                return e
-            e = enew
-        return math.nan
-
-    @_nj
-    def invert_zeta_kernel_numba(zeta):
-        out = np.empty_like(zeta)
-        for i in range(zeta.shape[0]):
-            out[i] = _invert_zeta_scalar(zeta[i])
-        return out
-
-    def invert_zeta_values_numba(zeta):
-        zeta = np.asarray(zeta, dtype=np.float64)
-        e = invert_zeta_kernel_numba(np.ascontiguousarray(zeta))
-        return e, not np.isnan(e).any()
-
-else:
-    hermite_values_numba = None
-    airy_values_numba = None
-    invert_zeta_values_numba = None
-
-
-def _hermite_active(n, x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return hermite_values_numba(n, x)
-
-
-def _airy_active(t):
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    return airy_values_numba(t)
-
-
-if USE_NUMBA:
-    hermite_values = _hermite_active
-    airy_values = _airy_active
-    invert_zeta_values = invert_zeta_values_numba
-else:
-    hermite_values = hermite_values_numpy
-    airy_values = airy_values_numpy
-    invert_zeta_values = invert_zeta_values_numpy

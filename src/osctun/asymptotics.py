@@ -221,12 +221,14 @@ def big_f_n_values(ns):
 def leading_term(n):
     """Leading tunneling asymptotic C1 * n^(-1/3), method tag "leading".
 
-    err_estimate is the magnitude of the first neglected correction C2/n.
+    err_estimate is C2/n + C1 n^(-4/3): the neglected correction C2/n plus
+    second_order's bound, by the triangle inequality.  C2/n alone
+    under-claims, since the next term has the same sign as the first.
     """
     n = _check_order(n)
     value = C1 * float(n) ** (-1.0 / 3.0)
     return TunnelingResult(n=n, value=value, method="leading",
-                           err_estimate=C2 / n)
+                           err_estimate=C2 / n + C1 * float(n) ** (-4.0 / 3.0))
 
 
 def second_order(n):

@@ -18,16 +18,15 @@ import tempfile
 import numpy as np
 
 from . import analysis
-from .asymptotics import (F_INFINITY, IterationLimitError, big_f_n_values,
-                          leading_term, second_order)
-from .quadrature import (NonConvergenceError, QuadratureConfig,
-                         TruncationFailureError, tunneling_exact,
-                         tunneling_exact_values)
+from .asymptotics import F_INFINITY, big_f_n_values, leading_term, second_order
+from .quadrature import QuadratureConfig, tunneling_exact, tunneling_exact_values
 
 __all__ = ["main", "entry"]
 
-_NUMERIC_FAILURES = (NonConvergenceError, TruncationFailureError,
-                     IterationLimitError)
+# A range lists at most this many levels.
+_MAX_RANGE_LEVELS = 10 ** 6
+# exact and compare sum O(n) terms per level, so they refuse larger levels.
+_MAX_EXACT_LEVEL = 10 ** 6
 
 
 def _fmt(v):
@@ -77,6 +76,9 @@ def _parse_range(text):
     if not _fits_double(last):
         raise argparse.ArgumentTypeError(
             "levels too large: 2n+1 must fit a double")
+    if (last - a) // step + 1 > _MAX_RANGE_LEVELS:
+        raise argparse.ArgumentTypeError(
+            "range lists more than %d levels" % _MAX_RANGE_LEVELS)
     return list(range(a, b + 1, step))
 
 
@@ -101,8 +103,15 @@ def _collect_n(args):
     return args.n_range
 
 
+def _check_exact_levels(ns, command):
+    if ns[-1] > _MAX_EXACT_LEVEL:
+        raise _UsageError("%s supports n <= %d (P_n costs O(n) steps)"
+                          % (command, _MAX_EXACT_LEVEL))
+
+
 def _cmd_exact(args):
     ns = _collect_n(args)
+    _check_exact_levels(ns, "exact")
     if args.n is not None:
         results = [tunneling_exact(ns[0])]
     else:
@@ -123,6 +132,7 @@ def _cmd_asympt(args):
 def _cmd_compare(args):
     if any(n < 1 for n in args.n_range):
         raise _UsageError("compare requires n >= 1")
+    _check_exact_levels(args.n_range, "compare")
     cols = ("n", "p_exact", "p_leading", "p_second",
             "err_leading", "err_second", "scaled_err_second")
     rows = [(r.n, r.p_exact, r.p_leading, r.p_second,
@@ -234,7 +244,7 @@ def _run(args):
         except _UsageError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        except _NUMERIC_FAILURES + (ValueError,) as exc:
+        except ValueError as exc:
             print("numerical failure: %s" % exc, file=sys.stderr)
             return 3
         text, code = result if isinstance(result, tuple) else (result, 0)

@@ -21,7 +21,7 @@ from . import _kernels
 __all__ = [
     "OscillatorState", "AiryValue", "GammaConstants", "GAMMA",
     "hermite_psi", "hermite_psi_squared",
-    "airy_ai", "airy_ai_prime", "airy_ai_values", "airy_ai_prime_values",
+    "airy_ai", "airy_ai_prime", "airy_ai_values",
 ]
 
 _METHOD_NAMES = {
@@ -155,12 +155,3 @@ def airy_ai_values(t):
         raise ValueError("t must be >= -2")
     ai, _, _, _ = _kernels.airy_values(arr)
     return float(ai[0]) if scalar else ai
-
-
-def airy_ai_prime_values(t):
-    """Ai' on an array; quadrature plumbing."""
-    arr, scalar = _as_array(t, "t")
-    if (arr < -2.0).any():
-        raise ValueError("t must be >= -2")
-    _, aip, _, _ = _kernels.airy_values(arr)
-    return float(aip[0]) if scalar else aip

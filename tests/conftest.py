@@ -7,10 +7,9 @@ import osctun
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # The first calls per process pay one-time costs: numba compilation
-    # when that backend is active, and numpy's first use of each routine.
-    # Pay them up front so timed assertions and memory peaks see the
-    # steady state.
+    # The first calls per process pay one-time costs: numpy's first use of
+    # each routine.  Pay them up front so timed assertions and memory peaks
+    # see the steady state.
     osctun.tunneling_exact(1)
     osctun.big_f_n(1)
     osctun.airy_ai(1.0)

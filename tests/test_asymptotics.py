@@ -469,6 +469,17 @@ class TestAsymptoticTerms:
         assert abs(0.4 * val - C2) < 1e-6
         assert abs(C2 - 0.0122518) < 1e-6
 
+    @pytest.mark.parametrize("term", [leading_term, second_order])
+    def test_err_estimate_bounds_exact_error(self, term):
+        # Every level in 1..3000 and sampled levels up to 10^6.  C2/n alone
+        # under-claims for the leading term at each of them, since the next
+        # term, C1/6 n^(-4/3), has the same sign as C2/n.
+        for ns in (range(1, 3001),
+                   [5000, 10 ** 4, 3 * 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6]):
+            for p in osctun.tunneling_exact_values(ns):
+                r = term(p.n)
+                assert abs(r.value - p.value) <= r.err_estimate, p.n
+
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             leading_term(0)

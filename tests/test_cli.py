@@ -159,15 +159,41 @@ class TestUsageErrors:
         assert "2n+1 must fit a double" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fn", "--n-range", "1:10000000000000000000"],
+        ["fn", "--n-range", "1:1000001"],
+        ["exact", "--n-range", "0:2000000:2"],
+    ])
+    def test_range_with_too_many_levels(self, capsys, argv):
+        # The level count is checked before any list is built; 10^6 levels
+        # is the most a range may hold.
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "range lists more than 1000000 levels" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", "1000000000000"],
+        ["exact", "--n-range", "0:2000000:1000"],
+        ["compare", "--n-range", "999990:1000001"],
+    ])
+    def test_exact_level_above_ceiling(self, capsys, argv):
+        # P_n costs O(n) steps, so exact and compare stop at n = 10^6
+        # instead of running for days.
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "supports n <= 1000000" in err
+
 
 class TestNumericalFailure:
     def test_exit_three_and_no_partial_file(self, tmp_path, capsys,
                                             monkeypatch):
         import osctun.cli as climod
-        from osctun.quadrature import NonConvergenceError
 
         def boom(n, cfg=None):
-            raise NonConvergenceError("stalled", 0.1, 0.2)
+            raise ValueError("stalled")
 
         monkeypatch.setattr(climod, "tunneling_exact", boom)
         out = tmp_path / "p.csv"
@@ -180,10 +206,9 @@ class TestNumericalFailure:
     def test_numeric_failure_keeps_existing_file(self, tmp_path, capsys,
                                                  monkeypatch):
         import osctun.cli as climod
-        from osctun.quadrature import NonConvergenceError
 
         def boom(n, cfg=None):
-            raise NonConvergenceError("stalled", 0.1, 0.2)
+            raise ValueError("stalled")
 
         monkeypatch.setattr(climod, "tunneling_exact", boom)
         out = tmp_path / "precious.csv"

@@ -175,13 +175,13 @@ class TestAiry:
 
 
 def _series_branch(t):
-    from osctun._kernels import _airy_series_np
-    return _airy_series_np(np.asarray(t, dtype=np.float64))
+    from osctun._kernels import _airy_series
+    return _airy_series(np.asarray(t, dtype=np.float64))
 
 
 def _asym_branch(t):
-    from osctun._kernels import _airy_asym_np
-    return _airy_asym_np(np.asarray(t, dtype=np.float64))
+    from osctun._kernels import _airy_asym
+    return _airy_asym(np.asarray(t, dtype=np.float64))
 
 
 class TestOscillatorState:
