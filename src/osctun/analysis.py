@@ -1,7 +1,7 @@
 """Validation sweeps: formula comparisons, the monotonicity lemma, figures.
 
-Everything here is deterministic: the same inputs and config produce
-bit-identical tables, so CSV output downstream is reproducible.
+Everything here is deterministic: the same inputs produce bit-identical
+tables, so CSV output downstream is reproducible.
 """
 
 import math
@@ -17,7 +17,8 @@ from .asymptotics import (F_INFINITY, big_f_n_values, f_of_x, leading_term,
 
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
-    "compare_sweep", "lemma_check", "ratio_sweep", "figure_dataset",
+    "compare_sweep", "comparison_table", "lemma_check", "ratio_sweep",
+    "figure_dataset",
 ]
 
 
@@ -51,14 +52,13 @@ class FigureData:
     rows: list
 
 
-def compare_sweep(n_values, config=None):
+def compare_sweep(n_values):
     """One ComparisonRow per n, in input order.
 
     Each row combines the exact tail integral with both asymptotic formulas;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     Every n is checked before any is computed, and the exact values come
-    from one tunneling_exact_values call.  config is accepted for call
-    compatibility and unused.
+    from one tunneling_exact_values call.
     """
     ns = [int(n) for n in n_values]
     for n in ns:
@@ -76,6 +76,17 @@ def compare_sweep(n_values, config=None):
             err_leading=err_lead, err_second=err_sec,
             scaled_err_second=err_sec * float(n) ** (4.0 / 3.0)))
     return rows
+
+
+def comparison_table(n_values):
+    """compare_sweep(n_values) as (columns, rows): the seven ComparisonRow
+    field names, and one tuple of those fields per n."""
+    columns = ("n", "p_exact", "p_leading", "p_second",
+               "err_leading", "err_second", "scaled_err_second")
+    rows = [(r.n, r.p_exact, r.p_leading, r.p_second,
+             r.err_leading, r.err_second, r.scaled_err_second)
+            for r in compare_sweep(n_values)]
+    return columns, rows
 
 
 def lemma_check(x_max, grid_size):
@@ -109,12 +120,9 @@ def lemma_check(x_max, grid_size):
                        endpoint_decay=float(fv[-1]), passed=bool(passed))
 
 
-def ratio_sweep(n_min, n_max, config=None):
-    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max.
-
-    The F_n come from one big_f_n_values call; config is accepted for call
-    compatibility and unused.
-    """
+def ratio_sweep(n_min, n_max):
+    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max, from one
+    big_f_n_values call."""
     n_min, n_max = int(n_min), int(n_max)
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
@@ -122,10 +130,8 @@ def ratio_sweep(n_min, n_max, config=None):
     return [(n, F_INFINITY / float(fn)) for n, fn in zip(ns, big_f_n_values(ns))]
 
 
-def _figure_one(params, config):
-    n = int(params.get("n", 40))
-    u_max = float(params.get("u_max", 1.6))
-    points = int(params.get("points", 1601))
+def _figure_one():
+    n, u_max, points = 40, 1.6, 1601
     nu = math.sqrt(2.0 * n + 1.0)
     u = np.linspace(-u_max, u_max, points)
     dens = nu * specfun.hermite_psi_squared(n, nu * u)
@@ -139,18 +145,8 @@ def _figure_one(params, config):
     return ("series", "x", "y"), rows
 
 
-def _comparison_rows(n_lo, n_hi, config):
-    cols = ("n", "p_exact", "p_leading", "p_second",
-            "err_leading", "err_second", "scaled_err_second")
-    rows = [(r.n, r.p_exact, r.p_leading, r.p_second,
-             r.err_leading, r.err_second, r.scaled_err_second)
-            for r in compare_sweep(range(n_lo, n_hi + 1), config)]
-    return cols, rows
-
-
-def _figure_three(params):
-    x_max = float(params.get("x_max", 5.0))
-    points = int(params.get("points", 400))
+def _figure_three():
+    x_max, points = 5.0, 400
     ratio = np.arange(points) / (points - 1.0)
     e = 1e-4 * ((x_max - 1.0) / 1e-4) ** ratio
     x = 1.0 + e
@@ -160,25 +156,24 @@ def _figure_three(params):
     return ("x", "zeta"), rows
 
 
-def figure_dataset(figure_id, params=None, config=None):
+def figure_dataset(figure_id):
     """Dataset behind one of the five figures.
 
     1: rescaled density of level 40 with the classical density and the
-       tunneling-probability curve; 2: comparison sweep n=5..612;
+       tunneling-probability curve; 2: comparison table n=5..612;
     3: the (x, zeta) map; 4: ratio sweep n=6..500; 5: comparison n=513..612.
     """
     figure_id = int(figure_id)
-    params = dict(params) if params else {}
     if figure_id == 1:
-        cols, rows = _figure_one(params, config)
+        cols, rows = _figure_one()
     elif figure_id == 2:
-        cols, rows = _comparison_rows(5, 612, config)
+        cols, rows = comparison_table(range(5, 613))
     elif figure_id == 3:
-        cols, rows = _figure_three(params)
+        cols, rows = _figure_three()
     elif figure_id == 4:
-        cols, rows = ("n", "ratio"), ratio_sweep(6, 500, config)
+        cols, rows = ("n", "ratio"), ratio_sweep(6, 500)
     elif figure_id == 5:
-        cols, rows = _comparison_rows(513, 612, config)
+        cols, rows = comparison_table(range(513, 613))
     else:
         raise ValueError("unknown figure id %d" % figure_id)
     return FigureData(figure_id=figure_id, columns=cols, rows=rows)

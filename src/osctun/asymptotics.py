@@ -110,12 +110,8 @@ def zeta_of_x(x):
     """
     x = _check_x(x)
     e = x - 1.0
-    if e < _kernels.DELTA_ZETA_SERIES:
-        zeta = _kernels.TWO_13 * e * float(_kernels.zeta_series_factor(e))
-        regime = "series-near-one"
-    else:
-        zeta = float(_kernels.g_of_e(e)) ** (2.0 / 3.0)
-        regime = "direct"
+    zeta = float(_kernels.zeta_from_e(np.array([e]))[0])
+    regime = "series-near-one" if e < _kernels.DELTA_ZETA_SERIES else "direct"
     return ZetaPoint(x=x, zeta=zeta, regime=regime)
 
 
@@ -192,7 +188,7 @@ def _big_f_of_s(s):
     return _BIG_F_CHEBYSHEV[0] + x * b1 - b2
 
 
-def big_f_n(n, config=None):
+def big_f_n(n):
     """The Airy-weighted integral F_n = int_0^inf f_n(t) Ai(t)^2 dt.
 
     Lies in (0, F_INFINITY] and approaches F_INFINITY from below as n grows.
@@ -200,9 +196,8 @@ def big_f_n(n, config=None):
     F_n depends on n only through s = (2n+1)^(-2/3), and is summed from an
     18-term Chebyshev series in s with frozen coefficients (see
     tools/gen_f_series.py).  This is the one-level case of big_f_n_values.
-    config is accepted for call compatibility with the quadrature routines
-    and unused.  Against 30-digit mpmath the error stays within 4 eps F_n
-    from n = 1 to 10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
+    Against 30-digit mpmath the error stays within 4 eps F_n from n = 1 to
+    10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
     """
     return float(big_f_n_values([n])[0])
 

@@ -3,9 +3,10 @@
 Numbers print with 12 significant digits (exact integers bare), comma
 delimiter, dot decimal separator, LF line endings; identical invocations
 produce byte-identical output.  Exit codes: 0 success, 2 usage error,
-3 numerical failure.  Output goes to a temporary file beside --out that
-replaces it only on success, so a failed run leaves no partial file and
-leaves an existing file untouched.
+3 numerical failure.  Output is computed first, then staged in a temporary
+file beside --out (and the gnuplot script's); the targets are replaced only
+once every file is staged, so a failed run leaves no partial file and
+leaves existing files untouched.
 """
 
 import argparse
@@ -19,14 +20,18 @@ import numpy as np
 
 from . import analysis
 from .asymptotics import F_INFINITY, big_f_n_values, leading_term, second_order
-from .quadrature import QuadratureConfig, tunneling_exact, tunneling_exact_values
+from .quadrature import QuadratureConfig, tunneling_exact_values
 
 __all__ = ["main", "entry"]
 
 # A range lists at most this many levels.
 _MAX_RANGE_LEVELS = 10 ** 6
-# exact and compare sum O(n) terms per level, so they refuse larger levels.
+# exact and compare sum O(n) terms per level, so they refuse a level above
+# _MAX_EXACT_LEVEL and levels that sum above _MAX_EXACT_STEPS.  On a 2-CPU
+# Xeon the batched pass took 23 ns a level-step over 1..20000, and 37 s
+# over 1..44700, the largest accepted sweep.
 _MAX_EXACT_LEVEL = 10 ** 6
+_MAX_EXACT_STEPS = 10 ** 9
 
 
 def _fmt(v):
@@ -51,13 +56,24 @@ def _csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _fits_double(n):
+def _check_fits_double(n):
     # Every level-taking route works with nu^2 = 2n + 1 as a double.
     try:
         float(2 * n + 1)
     except OverflowError:
-        return False
-    return True
+        raise argparse.ArgumentTypeError(
+            "level too large: 2n+1 must fit a double")
+
+
+def _parse_level(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("level must be nonnegative")
+    _check_fits_double(n)
+    return [n]
 
 
 def _parse_range(text):
@@ -73,9 +89,7 @@ def _parse_range(text):
     if a < 0 or b < a or step < 1:
         raise argparse.ArgumentTypeError("range requires 0 <= a <= b, step >= 1")
     last = b - (b - a) % step
-    if not _fits_double(last):
-        raise argparse.ArgumentTypeError(
-            "levels too large: 2n+1 must fit a double")
+    _check_fits_double(last)
     if (last - a) // step + 1 > _MAX_RANGE_LEVELS:
         raise argparse.ArgumentTypeError(
             "range lists more than %d levels" % _MAX_RANGE_LEVELS)
@@ -93,56 +107,39 @@ class _UsageError(Exception):
     pass
 
 
-def _collect_n(args):
-    if args.n is not None:
-        if args.n < 0:
-            raise _UsageError("--n must be nonnegative")
-        if not _fits_double(args.n):
-            raise _UsageError("--n is too large: 2n+1 must fit a double")
-        return [args.n]
-    return args.n_range
-
-
 def _check_exact_levels(ns, command):
     if ns[-1] > _MAX_EXACT_LEVEL:
         raise _UsageError("%s supports n <= %d (P_n costs O(n) steps)"
                           % (command, _MAX_EXACT_LEVEL))
+    if sum(ns) > _MAX_EXACT_STEPS:
+        raise _UsageError("%s supports levels summing to at most %d "
+                          "(P_n costs O(n) steps)" % (command, _MAX_EXACT_STEPS))
 
 
 def _cmd_exact(args):
-    ns = _collect_n(args)
-    _check_exact_levels(ns, "exact")
-    if args.n is not None:
-        results = [tunneling_exact(ns[0])]
-    else:
-        results = tunneling_exact_values(ns)
-    rows = [(r.n, r.value, r.err_estimate) for r in results]
+    _check_exact_levels(args.levels, "exact")
+    rows = [(r.n, r.value, r.err_estimate)
+            for r in tunneling_exact_values(args.levels)]
     return _csv(("n", "p_exact", "err_estimate"), rows)
 
 
 def _cmd_asympt(args):
-    ns = _collect_n(args)
-    if any(n < 1 for n in ns):
+    if args.levels[0] < 1:
         raise _UsageError("asympt requires n >= 1 (the formula diverges at 0)")
     term = leading_term if args.order == 1 else second_order
-    rows = [(n, term(n).value) for n in ns]
+    rows = [(n, term(n).value) for n in args.levels]
     return _csv(("n", "p_asympt"), rows)
 
 
 def _cmd_compare(args):
-    if any(n < 1 for n in args.n_range):
+    if args.levels[0] < 1:
         raise _UsageError("compare requires n >= 1")
-    _check_exact_levels(args.n_range, "compare")
-    cols = ("n", "p_exact", "p_leading", "p_second",
-            "err_leading", "err_second", "scaled_err_second")
-    rows = [(r.n, r.p_exact, r.p_leading, r.p_second,
-             r.err_leading, r.err_second, r.scaled_err_second)
-            for r in analysis.compare_sweep(args.n_range, args.config)]
-    return _csv(cols, rows)
+    _check_exact_levels(args.levels, "compare")
+    return _csv(*analysis.comparison_table(args.levels))
 
 
 def _cmd_fn(args):
-    ns = args.n_range
+    ns = args.levels
     if ns[0] < 1:
         raise _UsageError("fn requires n >= 1")
     rows = [(n, F_INFINITY / fn) for n, fn in zip(ns, big_f_n_values(ns))]
@@ -184,35 +181,32 @@ _FIG_PLOTS = {
 }
 
 
-def _plot_script(figure_id, csv_name):
+def _plot_script(figure_id, out):
+    """(path, text) of the gnuplot script that plots the CSV at out."""
+    root, ext = os.path.splitext(out)
     head = ("set datafile separator ','\n"
             "set key top right\n"
             "set xlabel 'x'\n"
             "set ylabel 'value'\n")
-    return head + _FIG_PLOTS[figure_id].format(csv=csv_name)
+    return ((root if ext.lower() == ".csv" else out) + ".gnuplot",
+            head + _FIG_PLOTS[figure_id].format(csv=os.path.basename(out)))
 
 
 def _cmd_fig(args):
-    if args.id not in (1, 2, 3, 4, 5):
-        raise _UsageError("unknown figure id %d" % args.id)
     if args.emit_plot_script and args.out == "-":
         raise _UsageError("--emit-plot-script needs --out FILE for the "
                           "script to reference")
-    data = analysis.figure_dataset(args.id, config=args.config)
+    data = analysis.figure_dataset(args.id)
     return _csv(data.columns, data.rows)
-
-
-def _script_path(out):
-    root, ext = os.path.splitext(out)
-    return (root if ext.lower() == ".csv" else out) + ".gnuplot"
 
 
 def _open_temp(target):
     """A new file beside target, with the mode open(target, "w") gives.
 
-    Output goes there first and replaces target only on success, so a
-    failed run leaves an existing target as it was.
+    Raises IsADirectoryError, as open would, when target is a directory.
     """
+    if os.path.isdir(target):
+        raise IsADirectoryError("is a directory")
     try:
         mode = stat.S_IMODE(os.stat(target).st_mode)
     except FileNotFoundError:
@@ -226,47 +220,47 @@ def _open_temp(target):
 
 
 def _run(args):
-    fh = tmp = None
-    if args.out != "-":
-        # Replace the file a symlink points to, not the link itself.
-        target = os.path.realpath(args.out)
-        try:
-            fh, tmp = _open_temp(target)
-        except OSError as exc:
-            print("cannot open %s: %s" % (args.out, exc), file=sys.stderr)
-            return 2
     try:
-        try:
-            # Every subcommand validates the tolerance flags, whether or
-            # not it uses them.
-            args.config = _config(args)
-            result = args.handler(args)
-        except _UsageError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print("numerical failure: %s" % exc, file=sys.stderr)
-            return 3
-        text, code = result if isinstance(result, tuple) else (result, 0)
-        if fh is None:
-            sys.stdout.write(text)
-            return code
-        fh.write(text)
-        fh.close()
-        try:
-            os.replace(tmp, target)
-        except OSError as exc:
-            print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
-            return 2
-        tmp = None
-    finally:
-        if tmp is not None:
-            fh.close()
-            os.unlink(tmp)
+        # Every subcommand validates the tolerance flags; none uses them.
+        _config(args)
+        result = args.handler(args)
+    except _UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return 3
+    text, code = result if isinstance(result, tuple) else (result, 0)
+    if args.out == "-":
+        sys.stdout.write(text)
+        return code
+    files = [(args.out, text)]
     if getattr(args, "emit_plot_script", False):
-        spath = _script_path(args.out)
-        with open(spath, "w", newline="") as sf:
-            sf.write(_plot_script(args.id, os.path.basename(args.out)))
+        files.append(_plot_script(args.id, args.out))
+    staged = []
+    try:
+        for path, body in files:
+            # Replace the file a symlink points to, not the link itself.
+            target = os.path.realpath(path)
+            try:
+                fh, tmp = _open_temp(target)
+            except OSError as exc:
+                print("cannot open %s: %s" % (path, exc), file=sys.stderr)
+                return 2
+            staged.append((tmp, target, path))
+            with fh:
+                fh.write(body)
+        while staged:
+            tmp, target, path = staged[0]
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                print("cannot write %s: %s" % (path, exc), file=sys.stderr)
+                return 2
+            staged.pop(0)
+    finally:
+        for tmp, _, _ in staged:
+            os.unlink(tmp)
     return code
 
 
@@ -285,9 +279,10 @@ def _add_common(sub):
 
 def _add_n_group(sub):
     grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--n", type=int, help="single level")
-    grp.add_argument("--n-range", type=_parse_range, metavar="A:B[:STEP]",
-                     help="inclusive level range")
+    grp.add_argument("--n", dest="levels", type=_parse_level, metavar="N",
+                     help="single level")
+    grp.add_argument("--n-range", dest="levels", type=_parse_range,
+                     metavar="A:B[:STEP]", help="inclusive level range")
 
 
 def _build_parser():
@@ -311,14 +306,14 @@ def _build_parser():
     p.set_defaults(handler=_cmd_asympt)
 
     p = subs.add_parser("compare", help="exact vs asymptotic table")
-    p.add_argument("--n-range", type=_parse_range, metavar="A:B[:STEP]",
-                   required=True)
+    p.add_argument("--n-range", dest="levels", type=_parse_range,
+                   metavar="A:B[:STEP]", required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_compare)
 
     p = subs.add_parser("fn", help="Airy-weighted integral ratios F_inf/F_n")
-    p.add_argument("--n-range", type=_parse_range, metavar="A:B[:STEP]",
-                   required=True)
+    p.add_argument("--n-range", dest="levels", type=_parse_range,
+                   metavar="A:B[:STEP]", required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_fn)
 
@@ -329,7 +324,8 @@ def _build_parser():
     p.set_defaults(handler=_cmd_lemma)
 
     p = subs.add_parser("fig", help="figure dataset as CSV")
-    p.add_argument("--id", type=int, required=True, help="figure number 1-5")
+    p.add_argument("--id", type=int, choices=(1, 2, 3, 4, 5), required=True,
+                   help="figure number")
     p.add_argument("--emit-plot-script", action="store_true",
                    help="also write a gnuplot script next to the CSV")
     _add_common(p)

@@ -85,7 +85,8 @@ class QuadratureConfig:
 
     rel_tol and abs_tol must be positive, max_subdivisions at least 10,
     tail_cutoff_decades positive.  semi_infinite_strategy selects the
-    default route for unbounded integrals.
+    default route for unbounded integrals.  It stays as the tests' oracle
+    config, and because perfbench passes one to tunneling_exact.
     """
     rel_tol: float = 1e-11
     abs_tol: float = 1e-15
@@ -331,8 +332,9 @@ def tunneling_exact(n, config=None):
     n : int
         Quantum number, n >= 0.
     config : QuadratureConfig, optional
-        Accepted for call compatibility with the quadrature routines and
-        unused: the value comes from a closed-form sum, not from quadrature.
+        Unused: the value comes from a closed-form sum, not from quadrature.
+        It is still accepted because perfbench's pn_points workload passes
+        one positionally.
 
     Returns
     -------

@@ -92,7 +92,7 @@ class TestFigureDatasets:
                 analysis.figure_dataset(bad)
 
     def test_density_figure(self):
-        data = analysis.figure_dataset(1, params={"points": 401})
+        data = analysis.figure_dataset(1)
         assert data.columns == ("series", "x", "y")
         classical = [(x, y) for s, x, y in data.rows if s == "classical"]
         at_zero = [y for x, y in classical if x == 0.0]

@@ -16,7 +16,7 @@ from osctun.asymptotics import (C1, C2, F_INFINITY, IterationLimitError,
                                 big_f_n, big_f_n_values, f_n, f_of_x, f_of_x_values,
                                 leading_term, olver_approx, second_order,
                                 x_of_zeta, zeta_of_x, zeta_of_x_values)
-from osctun.quadrature import (_GAUSS_IDX, _WG, _WK, _XK, QuadratureConfig,
+from osctun.quadrature import (_GAUSS_IDX, _WG, _WK, _XK,
                                integrate_semi_infinite)
 
 
@@ -145,6 +145,18 @@ class TestZetaMap:
         ser = _kernels.TWO_13 * e * float(_kernels.zeta_series_factor(e))
         direct = float(_kernels.g_of_e(np.float64(e))) ** (2.0 / 3.0)
         assert abs(ser - direct) < 1e-12 * direct
+
+    def test_scalar_and_vector_agree_bitwise(self):
+        # One zeta route: the scalar map is the vector map at one point, in
+        # both regimes and a few ulp either side of the 1e-3 seam.
+        d = _kernels.DELTA_ZETA_SERIES
+        e = np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 3000),
+                            d * (1.0 + np.linspace(-1e-12, 1e-12, 41))])
+        x = 1.0 + e
+        scalar = [zeta_of_x(xi) for xi in x]
+        assert np.array_equal([zp.zeta for zp in scalar], zeta_of_x_values(x))
+        assert [zp.regime for zp in scalar] == [
+            "series-near-one" if xi - 1.0 < d else "direct" for xi in x]
 
     def test_monotone_on_grid(self):
         x = np.concatenate([np.linspace(1.0, 1.01, 200),
@@ -365,11 +377,6 @@ class TestAiryWeightedIntegral:
         # F(0) = F_INFINITY.
         gap = abs(big_f_n(10 ** 300) - F_INFINITY)
         assert gap <= 2.0 * math.ulp(F_INFINITY)
-
-    def test_big_f_n_config_is_accepted_and_unused(self):
-        sub = QuadratureConfig(semi_infinite_strategy="substitution",
-                               rel_tol=1e-3)
-        assert big_f_n(300, sub) == big_f_n(300)
 
     def test_below_limit(self):
         for n in (6, 50, 500):

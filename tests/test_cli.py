@@ -3,13 +3,14 @@
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from osctun import analysis
-from osctun.cli import main
+from osctun.cli import _build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -186,16 +187,55 @@ class TestUsageErrors:
         assert out == ""
         assert "supports n <= 1000000" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n-range", "1:1000000"],
+        ["compare", "--n-range", "1:50000"],
+    ])
+    def test_exact_work_above_ceiling(self, capsys, monkeypatch, argv):
+        # Each level is allowed, but their sum passes 10^9 recurrence
+        # steps, so the sweep is refused before any P_n is computed.
+        import osctun.cli as climod
+
+        def must_not_run(ns):
+            raise AssertionError("no level may be computed")
+
+        monkeypatch.setattr(climod, "tunneling_exact_values", must_not_run)
+        monkeypatch.setattr(analysis, "tunneling_exact_values", must_not_run)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "summing to at most 1000000000" in err
+
+    def test_largest_exact_level(self, capsys):
+        code, out, _ = run_cli(capsys, ["exact", "--n", "1000000"])
+        assert code == 0
+        assert out.splitlines()[1].startswith("1000000,")
+
+    def test_plot_script_path_is_directory(self, tmp_path, capsys):
+        # The script's target cannot be written, so neither file is
+        # replaced and no temp file is left behind.
+        (tmp_path / "f.gnuplot").mkdir()
+        out = tmp_path / "f.csv"
+        out.write_text("keep me\n")
+        code, _, err = run_cli(capsys, ["fig", "--id", "3", "--out", str(out),
+                                        "--emit-plot-script"])
+        assert code == 2
+        assert "cannot open" in err
+        assert "Traceback" not in err
+        assert out.read_text() == "keep me\n"
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "f.gnuplot"]
+        assert os.listdir(tmp_path / "f.gnuplot") == []
+
 
 class TestNumericalFailure:
     def test_exit_three_and_no_partial_file(self, tmp_path, capsys,
                                             monkeypatch):
         import osctun.cli as climod
 
-        def boom(n, cfg=None):
+        def boom(ns):
             raise ValueError("stalled")
 
-        monkeypatch.setattr(climod, "tunneling_exact", boom)
+        monkeypatch.setattr(climod, "tunneling_exact_values", boom)
         out = tmp_path / "p.csv"
         code, _, err = run_cli(capsys,
                                ["exact", "--n", "0", "--out", str(out)])
@@ -207,10 +247,10 @@ class TestNumericalFailure:
                                                  monkeypatch):
         import osctun.cli as climod
 
-        def boom(n, cfg=None):
+        def boom(ns):
             raise ValueError("stalled")
 
-        monkeypatch.setattr(climod, "tunneling_exact", boom)
+        monkeypatch.setattr(climod, "tunneling_exact_values", boom)
         out = tmp_path / "precious.csv"
         out.write_text("keep me\n")
         code, _, _ = run_cli(capsys, ["exact", "--n", "0", "--out", str(out)])
@@ -278,6 +318,33 @@ class TestOutputPlumbing:
         assert link.is_symlink()
         assert real.read_text().startswith("n,p_exact,err_estimate\n")
 
+    def test_no_temp_file_while_computing(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The temp file exists only while finished text is written, so a
+        # process killed during the computation leaves nothing behind.
+        import osctun.cli as climod
+        seen = []
+        real = climod.tunneling_exact_values
+
+        def listing(ns):
+            seen.append(os.listdir(tmp_path))
+            return real(ns)
+
+        monkeypatch.setattr(climod, "tunneling_exact_values", listing)
+        out = tmp_path / "p.csv"
+        assert main(["exact", "--n-range", "0:3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert seen == [[]]
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    @pytest.mark.parametrize("n", ["0", "1", "612"])
+    def test_single_level_matches_range(self, capsys, n):
+        code, one, _ = run_cli(capsys, ["exact", "--n", n])
+        assert code == 0
+        code, ranged, _ = run_cli(capsys, ["exact", "--n-range", n + ":" + n])
+        assert code == 0
+        assert one == ranged
+
     def test_byte_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -336,6 +403,26 @@ class TestPinnedBytes:
                                             "%s:%s" % (n, n)])
             assert code == 0
             assert one.splitlines() == [head, row]
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        # Every example in README's "Command line" section must parse, so a
+        # flag renamed in the parser and not in the docs fails here.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path) as fh:
+            section = fh.read().split("\n## Command line\n")[1]
+        section = section.split("\n## ")[0]
+        examples = [shlex.split(line)[3:] for line in section.splitlines()
+                    if line.strip().startswith("python3 -m osctun.cli ")]
+        assert len(examples) >= 6
+        parser = _build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail("README example does not parse: %s"
+                            % " ".join(argv))
 
 
 class TestSubprocessEntry:
