@@ -1,9 +1,9 @@
-"""Timings of the kernels and of the multi-level sweeps.
+"""Timings of the kernels, of the multi-level sweeps and of CLI calls.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--size 200000] [--repeats 7]
 
-Prints three tables, each the best of --repeats runs:
+Prints four tables, each the best of --repeats runs:
 
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
@@ -17,15 +17,27 @@ Prints three tables, each the best of --repeats runs:
    step of the scalar loop, at several batch widths.  A sweep takes the
    batched pass when the sum of its levels exceeds this constant times its
    largest level; quadrature._BATCH_STEP_COST holds the value in use.
+4. Two CLI calls made in process, fn --n-range 105:203 and
+   compare --n-range 513:612, each writing its CSV into a temporary
+   directory, split into parts: building the parser uncached
+   (cli._build_parser.__wrapped__), parsing argv with the cached parser,
+   the handler's computation (with cli._csv stubbed out), cli._csv on the
+   handler's table, staging (cli._run with the finished text, which checks
+   the tolerances and writes and replaces the file), and the whole
+   cli.main call, whose parser is built once and then reused.  main is
+   about parse + compute + _csv + stage; a one-shot process pays the build
+   on top.
 """
 
 import argparse
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
 
-from osctun import _kernels, asymptotics, quadrature
+from osctun import _kernels, asymptotics, cli, quadrature
 
 
 def best_of(repeats, fn, *args):
@@ -105,6 +117,46 @@ def cost_table(repeats, top=2000):
                  step_batch / step_loop))
 
 
+def cli_table(repeats):
+    calls = [("fn 105:203", ["fn", "--n-range", "105:203"]),
+             ("compare 513:612", ["compare", "--n-range", "513:612"])]
+    print("\nCLI calls in process: best of %d runs" % repeats)
+    print("%-16s %10s %10s %12s %10s %10s %10s"
+          % ("call", "build [ms]", "parse [ms]", "compute [ms]", "_csv [ms]",
+             "stage [ms]", "main [ms]"))
+    parser = cli._build_parser()
+    tables = []
+
+    def capture(columns, rows):
+        tables.append((columns, rows))
+        return ""
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in calls:
+            argv = argv + ["--out", os.path.join(tmp, "out.csv")]
+            args = parser.parse_args(argv)
+            real_csv = cli._csv
+            cli._csv = capture
+            try:
+                t_compute = best_of(repeats, args.handler, args)
+            finally:
+                cli._csv = real_csv
+            table = tables[-1]
+            text = cli._csv(*table)
+            staged = argparse.Namespace(**vars(args))
+            staged.handler = lambda _: text
+            if cli.main(argv) != 0 or cli._run(staged) != 0:
+                raise SystemExit("%s failed" % name)
+            times = [best_of(repeats, cli._build_parser.__wrapped__),
+                     best_of(repeats, parser.parse_args, argv),
+                     t_compute,
+                     best_of(repeats, cli._csv, *table),
+                     best_of(repeats, cli._run, staged),
+                     best_of(repeats, cli.main, argv)]
+            print("%-16s %10.3f %10.3f %12.3f %10.3f %10.3f %10.3f"
+                  % ((name,) + tuple(1e3 * t for t in times)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=200000,
@@ -115,6 +167,7 @@ def main():
     kernel_table(args.size, args.repeats)
     sweep_table(args.repeats)
     cost_table(args.repeats)
+    cli_table(args.repeats)
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ def lemma_check(x_max, grid_size):
     """
     x_max = float(x_max)
     if not (x_max > 1.0 and math.isfinite(x_max)):
-        raise ValueError("x_max must exceed 1")
+        raise ValueError("x_max must be finite and exceed 1")
     grid_size = int(grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")

@@ -10,6 +10,7 @@ leaves existing files untouched.
 """
 
 import argparse
+import functools
 import math
 import os
 import stat
@@ -32,6 +33,11 @@ _MAX_RANGE_LEVELS = 10 ** 6
 # over 1..44700, the largest accepted sweep.
 _MAX_EXACT_LEVEL = 10 ** 6
 _MAX_EXACT_STEPS = 10 ** 9
+# lemma holds about ten float arrays of --grid points; at 10^6 the process
+# peaked at 92 MB.  Above --x-max 2e38 the degree-8 series in f_from_e
+# overflows, and above 1.3e154 so does e(2+e); 1e30 keeps every step finite.
+_MAX_LEMMA_GRID = 10 ** 6
+_MAX_LEMMA_X = 1e30
 
 
 def _fmt(v):
@@ -45,6 +51,8 @@ def _fmt(v):
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     if 1e-4 <= abs(v) < 1e16:
+        # Dragon4 drops the zeros a round-up carry leaves (0.15 prints
+        # 0.15000000000), so a '%.*f' formatter would move the CSV bytes.
         return np.format_float_positional(v, precision=12, unique=False,
                                           fractional=False)
     return np.format_float_scientific(v, precision=11, unique=False)
@@ -147,10 +155,12 @@ def _cmd_fn(args):
 
 
 def _cmd_lemma(args):
-    if not args.x_max > 1.0:
-        raise _UsageError("--x-max must exceed 1")
-    if args.grid < 100:
-        raise _UsageError("--grid must be at least 100")
+    if not 1.0 < args.x_max <= _MAX_LEMMA_X:
+        raise _UsageError("--x-max must exceed 1 and be at most %g"
+                          % _MAX_LEMMA_X)
+    if not 100 <= args.grid <= _MAX_LEMMA_GRID:
+        raise _UsageError("--grid must be between 100 and %d"
+                          % _MAX_LEMMA_GRID)
     rep = analysis.lemma_check(args.x_max, args.grid)
     text = ("monotonicity check of zeta(x)/(x^2-1) on (1, %s]\n"
             "grid_size: %d\n"
@@ -285,6 +295,11 @@ def _add_n_group(sub):
                      metavar="A:B[:STEP]", help="inclusive level range")
 
 
+# Building the parser costs about ten times an fn sweep of 99 levels, so a
+# process builds it once, on its first main() call.  parse_args returns a
+# fresh Namespace every call, so no call sees another's flags; handlers look
+# their library functions up when they run, so patching those still works.
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="osctun",
@@ -318,8 +333,10 @@ def _build_parser():
     p.set_defaults(handler=_cmd_fn)
 
     p = subs.add_parser("lemma", help="monotonicity report for zeta/(x^2-1)")
-    p.add_argument("--x-max", type=float, default=50.0)
-    p.add_argument("--grid", type=int, default=10000)
+    p.add_argument("--x-max", type=float, default=50.0,
+                   help="right end of the grid, in (1, 1e30] (default 50)")
+    p.add_argument("--grid", type=int, default=10000,
+                   help="grid points, 100 to 10^6 (default 10000)")
     _add_common(p)
     p.set_defaults(handler=_cmd_lemma)
 

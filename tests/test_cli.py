@@ -1,16 +1,18 @@
 """Command-line surface: formats, determinism, exit codes, artifacts."""
 
+import argparse
 import hashlib
 import math
 import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from osctun import analysis
-from osctun.cli import _build_parser, main
+from osctun.cli import _build_parser, _fmt, main
 
 
 def run_cli(capsys, argv):
@@ -206,6 +208,37 @@ class TestUsageErrors:
         assert out == ""
         assert "summing to at most 1000000000" in err
 
+    @pytest.mark.parametrize("flag", [
+        ["--x-max", "inf"],
+        ["--x-max", "1e200"],
+        ["--x-max", "1.0000001e30"],
+        ["--x-max", "nan"],
+        ["--x-max", "1"],
+        ["--grid", "1000001"],
+        ["--grid", str(10 ** 12)],
+        ["--grid", "99"],
+    ], ids=["x-inf", "x-1e200", "x-above-1e30", "x-nan", "x-1", "grid-1e6+1",
+            "grid-1e12", "grid-99"])
+    def test_lemma_bounds(self, capsys, monkeypatch, flag):
+        # Refused before the grid is built: inf used to be exit 3 with a
+        # false message, 1e200 printed nan, and any --grid was allocated.
+        def must_not_run(*args):
+            raise AssertionError("lemma_check may not run")
+
+        monkeypatch.setattr(analysis, "lemma_check", must_not_run)
+        code, out, err = run_cli(capsys, ["lemma"] + flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
+        assert "Traceback" not in err
+
+    def test_lemma_largest_x_max(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, ["lemma", "--x-max", "1e30"])
+        assert code == 0
+        assert "passed: true" in out
+
     def test_largest_exact_level(self, capsys):
         code, out, _ = run_cli(capsys, ["exact", "--n", "1000000"])
         assert code == 0
@@ -374,6 +407,96 @@ class TestOutputPlumbing:
         p = out.splitlines()[1].split(",")[1]
         assert p == "0.157299207050"
         assert abs(float(p) - math.erfc(1.0)) < 1e-12
+
+
+class TestRepeatedCalls:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        assert _build_parser() is _build_parser()
+        assert main(["asympt", "--order", "1", "--n", "1"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        for argv in (["exact", "--n", "3"], ["fn", "--n-range", "6:8"],
+                     ["lemma"], ["fig", "--id", "3"],
+                     ["compare", "--n-range", "5:6"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_handlers_see_patched_names(self, capsys, monkeypatch):
+        # The cached parser holds the handlers, which look the library
+        # functions up when they run.
+        import osctun.cli as climod
+        assert main(["exact", "--n", "0"]) == 0
+
+        def boom(ns):
+            raise ValueError("stalled")
+
+        monkeypatch.setattr(climod, "tunneling_exact_values", boom)
+        code, _, err = run_cli(capsys, ["exact", "--n", "0"])
+        assert code == 3
+        assert "stalled" in err
+
+    def test_mixed_sequence_matches_first_calls(self, tmp_path, capsys,
+                                                monkeypatch):
+        # Each call, made after the others in one process, gives the bytes
+        # and exit code it gives as a process's first call, which builds
+        # its own parser; no flag of an earlier call carries over.
+        import osctun.cli as climod
+        sequence = [
+            ["exact", "--n", "612"],
+            ["fn", "--n-range", "6:500:7"],
+            ["fig", "--id", "3", "--emit-plot-script", "--out", "F.csv",
+             "--bogus"],
+            ["fig", "--id", "3", "--emit-plot-script", "--out", "F.csv"],
+            ["compare", "--n-range", "513:612"],
+            ["fig", "--id", "3", "--out", "G.csv"],
+        ]
+
+        def call(argv, where):
+            argv = [str(where / a) if a.endswith(".csv") else a
+                    for a in argv]
+            before = {p.name: p.read_bytes() for p in where.iterdir()}
+            code, out, err = run_cli(capsys, argv)
+            after = {p.name: p.read_bytes() for p in where.iterdir()}
+            written = {k: v for k, v in after.items() if before.get(k) != v}
+            return code, out, err, written
+
+        seq_dir = tmp_path / "sequence"
+        seq_dir.mkdir()
+        in_sequence = [call(argv, seq_dir) for argv in sequence]
+
+        monkeypatch.setattr(climod, "_build_parser", _build_parser.__wrapped__)
+        first = []
+        for i, argv in enumerate(sequence):
+            where = tmp_path / ("first%d" % i)
+            where.mkdir()
+            first.append(call(argv, where))
+
+        assert [c[0] for c in first] == [0, 0, 2, 0, 0, 0]
+        assert in_sequence == first
+        assert sorted(os.listdir(seq_dir)) == ["F.csv", "F.gnuplot", "G.csv"]
+
+
+class TestCellFormat:
+    # numpy's Dragon4 drops the zeros a round-up carry leaves; the CSV
+    # bytes depend on that, so a faster formatter must reproduce it.
+    @pytest.mark.parametrize("value, text", [
+        (0.15, "0.15000000000"),
+        (0.00015, "0.00015000000"),
+        (0.025365375652972085, "0.025365375653"),
+        (99.8173134319568, "99.8173134320"),
+        (1.5e-05, "1.50000000000e-05"),
+        (-1.5e-07, "-1.50000000000e-07"),
+    ])
+    def test_fmt_cells(self, value, text):
+        assert _fmt(value) == text
 
 
 class TestPinnedBytes:
