@@ -3,7 +3,7 @@
 Usage:
     python3 benchmarks/bench_kernels.py [--size 200000] [--repeats 7]
 
-Prints four tables, each the best of --repeats runs:
+Prints four tables and one row, each the best of --repeats runs:
 
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
@@ -27,6 +27,10 @@ Prints four tables, each the best of --repeats runs:
    cli.main call, whose parser is built once and then reused.  main is
    about parse + compute + _csv + stage; a one-shot process pays the build
    on top.
+5. One CSV cell: cli._fmt against cli._dragon4, the Dragon4 route that
+   every float cell took before _fmt tried %#.12g first, per cell over
+   the float cells of figure 2.  The _csv column above shows what the
+   difference is worth on a whole table.
 """
 
 import argparse
@@ -37,7 +41,7 @@ import time
 
 import numpy as np
 
-from osctun import _kernels, asymptotics, cli, quadrature
+from osctun import _kernels, analysis, asymptotics, cli, quadrature
 
 
 def best_of(repeats, fn, *args):
@@ -157,6 +161,20 @@ def cli_table(repeats):
                   % ((name,) + tuple(1e3 * t for t in times)))
 
 
+def cell_row(repeats):
+    cells = [v for row in analysis.figure_dataset(2).rows for v in row
+             if isinstance(v, float)]
+    if list(map(cli._fmt, cells)) != list(map(cli._dragon4, cells)):
+        raise SystemExit("_fmt and _dragon4 disagree on figure 2")
+    t_fmt = best_of(repeats, lambda: list(map(cli._fmt, cells)))
+    t_dragon4 = best_of(repeats, lambda: list(map(cli._dragon4, cells)))
+    print("\none cell, over the %d float cells of figure 2: best of %d runs"
+          % (len(cells), repeats))
+    print("%-16s %10s %12s" % ("formatter", "_fmt [us]", "Dragon4 [us]"))
+    print("%-16s %10.3f %12.3f" % ("fig 2 cell", 1e6 * t_fmt / len(cells),
+                                   1e6 * t_dragon4 / len(cells)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=200000,
@@ -168,6 +186,7 @@ def main():
     sweep_table(args.repeats)
     cost_table(args.repeats)
     cli_table(args.repeats)
+    cell_row(args.repeats)
 
 
 if __name__ == "__main__":

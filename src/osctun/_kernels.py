@@ -541,7 +541,9 @@ def invert_zeta_values(zeta):
 def zeta_from_e(e):
     """Forward map zeta(1+e) on an array; series under the seam, else direct."""
     e = np.asarray(e, dtype=np.float64)
-    ser = TWO_13 * e * zeta_series_factor(e)
+    # The series sees no e above its seam, so a large e cannot overflow it.
+    es = np.minimum(e, DELTA_ZETA_SERIES)
+    ser = TWO_13 * es * zeta_series_factor(es)
     direct = g_of_e(e) ** (2.0 / 3.0)
     return np.where(e < DELTA_ZETA_SERIES, ser, direct)
 
@@ -549,7 +551,7 @@ def zeta_from_e(e):
 def f_from_e(e):
     """f = zeta/(x^2-1) at x = 1+e on an array; continuous limit 2^(-2/3) at 0."""
     e = np.asarray(e, dtype=np.float64)
-    ser = TWO_M23 * f_series_factor(e)
+    ser = TWO_M23 * f_series_factor(np.minimum(e, DELTA_F_SERIES))
     small = e < DELTA_F_SERIES
     denom = np.where(small, 1.0, e * (2.0 + e))
     direct = g_of_e(e) ** (2.0 / 3.0) / denom

@@ -18,7 +18,7 @@ from .asymptotics import (F_INFINITY, big_f_n_values, f_of_x, leading_term,
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
     "compare_sweep", "comparison_table", "lemma_check", "ratio_sweep",
-    "figure_dataset",
+    "ratio_table", "figure_dataset",
 ]
 
 
@@ -120,14 +120,21 @@ def lemma_check(x_max, grid_size):
                        endpoint_decay=float(fv[-1]), passed=bool(passed))
 
 
+def ratio_table(n_values):
+    """The ratios F_infinity / F_n as (columns, rows): ("n", "ratio") and one
+    (n, ratio) pair per n, in input order, from one big_f_n_values call."""
+    ns = list(n_values)
+    ratios = F_INFINITY / big_f_n_values(ns)
+    return ("n", "ratio"), list(zip(ns, ratios.tolist()))
+
+
 def ratio_sweep(n_min, n_max):
-    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max, from one
-    big_f_n_values call."""
+    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max: the rows of
+    ratio_table."""
     n_min, n_max = int(n_min), int(n_max)
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    ns = range(n_min, n_max + 1)
-    return [(n, F_INFINITY / float(fn)) for n, fn in zip(ns, big_f_n_values(ns))]
+    return ratio_table(range(n_min, n_max + 1))[1]
 
 
 def _figure_one():
@@ -171,7 +178,7 @@ def figure_dataset(figure_id):
     elif figure_id == 3:
         cols, rows = _figure_three()
     elif figure_id == 4:
-        cols, rows = ("n", "ratio"), ratio_sweep(6, 500)
+        cols, rows = ratio_table(range(6, 501))
     elif figure_id == 5:
         cols, rows = comparison_table(range(513, 613))
     else:

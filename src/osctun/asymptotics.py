@@ -208,7 +208,15 @@ def big_f_n_values(ns):
     Every n is checked before any is computed; then the series is summed
     once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
-    levels = [_check_order(n) for n in ns]
+    levels = list(ns)
+    types = set(map(type, levels))
+    # Integer levels (not bools) are checked by one min(); any other type,
+    # or a level below 1, takes the one-level check, which raises on the
+    # first bad level.
+    if (bool in types
+            or not all(issubclass(t, (int, np.integer)) for t in types)
+            or (levels and min(levels) < 1)):
+        levels = [_check_order(n) for n in levels]
     nu2 = 2.0 * np.array(levels, dtype=np.float64) + 1.0
     return _big_f_of_s(nu2 ** (-2.0 / 3.0))
 

@@ -1,12 +1,13 @@
 """Command-line front end emitting CSV tables and optional gnuplot scripts.
 
-Numbers print with 12 significant digits (exact integers bare), comma
-delimiter, dot decimal separator, LF line endings; identical invocations
-produce byte-identical output.  Exit codes: 0 success, 2 usage error,
-3 numerical failure.  Output is computed first, then staged in a temporary
-file beside --out (and the gnuplot script's); the targets are replaced only
-once every file is staged, so a failed run leaves no partial file and
-leaves existing files untouched.
+Numbers print with 12 significant digits (exact integers bare, other
+floats from 1e11 up in scientific form), comma delimiter, dot decimal
+separator, LF line endings; identical invocations produce byte-identical
+output.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Output is computed first, then staged in a temporary file beside --out
+(and the gnuplot script's); the targets are replaced only once every file
+is staged, so a failed run leaves no partial file and leaves existing
+files untouched.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import tempfile
 import numpy as np
 
 from . import analysis
-from .asymptotics import F_INFINITY, big_f_n_values, leading_term, second_order
+from .asymptotics import leading_term, second_order
 from .quadrature import QuadratureConfig, tunneling_exact_values
 
 __all__ = ["main", "entry"]
@@ -34,33 +35,55 @@ _MAX_RANGE_LEVELS = 10 ** 6
 _MAX_EXACT_LEVEL = 10 ** 6
 _MAX_EXACT_STEPS = 10 ** 9
 # lemma holds about ten float arrays of --grid points; at 10^6 the process
-# peaked at 92 MB.  Above --x-max 2e38 the degree-8 series in f_from_e
-# overflows, and above 1.3e154 so does e(2+e); 1e30 keeps every step finite.
+# peaked at 92 MB.  Above --x-max 1.3e154 e(2+e) overflows; 1e30 keeps
+# every step finite with room to spare.
 _MAX_LEMMA_GRID = 10 ** 6
 _MAX_LEMMA_X = 1e30
 
 
 def _fmt(v):
-    if isinstance(v, str):
+    if isinstance(v, float):
+        # %#.12g follows C's %g and rounds correctly, as Dragon4 does; it
+        # prints Dragon4's bytes whenever its 12th digit is not 0 and it has
+        # no e+ exponent.  Every other cell takes the Dragon4 route.
+        s = "%#.12g" % v
+        if "e" not in s:
+            if s[-1] not in "0.":
+                return s
+        else:
+            e = s.find("e")
+            if s[e + 1] == "-" and s[e - 1] != "0":
+                return s
+    elif isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)):
+    elif isinstance(v, (int, np.integer)):
         return str(int(v))
     v = float(v)
     if not math.isfinite(v):
         return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
-    if 1e-4 <= abs(v) < 1e16:
-        # Dragon4 drops the zeros a round-up carry leaves (0.15 prints
-        # 0.15000000000), so a '%.*f' formatter would move the CSV bytes.
-        return np.format_float_positional(v, precision=12, unique=False,
-                                          fractional=False)
+    return _dragon4(v)
+
+
+def _dragon4(v):
+    # When Dragon4's digits end before the 12th (an exact short value, or a
+    # carry), it pads with zeros until 12 digits are printed, counting the
+    # zeros before the first significant one: 0.25 prints 0.25000000000 and
+    # 0.0012 prints 0.00120000000, where %#.12g prints 0.250000000000 and
+    # 0.00120000000000.  The CSV bytes depend on that padding.
+    if 1e-4 <= abs(v) < 1e11:
+        s = np.format_float_positional(v, precision=12, unique=False,
+                                       fractional=False)
+        # A carry to 1e11 leaves no fraction digit and a trailing dot.
+        if s[-1] != ".":
+            return s
     return np.format_float_scientific(v, precision=11, unique=False)
 
 
 def _csv(columns, rows):
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -150,8 +173,7 @@ def _cmd_fn(args):
     ns = args.levels
     if ns[0] < 1:
         raise _UsageError("fn requires n >= 1")
-    rows = [(n, F_INFINITY / fn) for n, fn in zip(ns, big_f_n_values(ns))]
-    return _csv(("n", "ratio"), rows)
+    return _csv(*analysis.ratio_table(ns))
 
 
 def _cmd_lemma(args):
@@ -215,14 +237,16 @@ def _open_temp(target):
 
     Raises IsADirectoryError, as open would, when target is a directory.
     """
-    if os.path.isdir(target):
-        raise IsADirectoryError("is a directory")
     try:
-        mode = stat.S_IMODE(os.stat(target).st_mode)
+        st = os.stat(target)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
+    else:
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError("is a directory")
+        mode = stat.S_IMODE(st.st_mode)
     fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(target) + ".",
                                suffix=".tmp", dir=os.path.dirname(target))
     os.fchmod(fd, mode)

@@ -1,11 +1,13 @@
 """Sweeps, the monotonicity report, and figure datasets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from osctun import analysis
+from osctun.asymptotics import F_INFINITY, big_f_n, f_of_x, zeta_of_x
 from osctun.quadrature import QuadratureConfig, integrate_finite
 from osctun.specfun import hermite_psi_squared
 
@@ -57,6 +59,15 @@ class TestLemmaCheck:
         b = analysis.lemma_check(100.0, 2000)
         assert b.endpoint_decay < a.endpoint_decay
 
+    def test_huge_x_raises_no_warning(self):
+        # The small-e series only sees e up to its seam, so it cannot
+        # overflow where the direct branch is used.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < f_of_x(1e39) < 1e-26
+            assert zeta_of_x(1e39).regime == "direct"
+            assert analysis.lemma_check(1e40, 10000).passed
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             analysis.lemma_check(50.0, 99)
@@ -77,6 +88,18 @@ class TestRatioSweep:
                   for n in (64, 216, 512)]
         mid = sorted(scaled)[1]
         assert all(abs(s - mid) <= 0.15 * mid for s in scaled)
+
+    def test_sweep_is_the_table_rows(self):
+        columns, rows = analysis.ratio_table(range(6, 40))
+        assert columns == ("n", "ratio")
+        assert analysis.ratio_sweep(6, 39) == rows
+        assert all(type(n) is int and type(r) is float for n, r in rows)
+
+    def test_table_has_one_level_bits(self):
+        ns = [500, 6, 10 ** 6, 37, 6]
+        columns, rows = analysis.ratio_table(ns)
+        assert rows == [(n, F_INFINITY / big_f_n(n)) for n in ns]
+        assert analysis.ratio_table([]) == (columns, [])
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

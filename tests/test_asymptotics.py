@@ -433,6 +433,33 @@ class TestFnSweep:
         with pytest.raises(ValueError):
             big_f_n(0)
 
+    @pytest.mark.parametrize("levels, error, text", [
+        ([5, True, 7], TypeError, "n must be an integer, got True"),
+        ([5, 6.0], TypeError, "n must be an integer, got 6.0"),
+        ([5, "7"], TypeError, "n must be an integer, got '7'"),
+        ([5, np.bool_(True)], TypeError, "n must be an integer, got "),
+        ([5, -3, 0], ValueError, "n must be nonnegative, got -3"),
+        ([5, 0, -3], ValueError, "n must be >= 1 (the formula diverges"),
+        (np.array([5, 0]), ValueError, "n must be >= 1 (the formula diverges"),
+        ([10 ** 400, 0], ValueError, "n must be >= 1 (the formula diverges"),
+    ])
+    def test_names_the_first_bad_level(self, levels, error, text):
+        with pytest.raises(error) as info:
+            big_f_n_values(levels)
+        assert str(info.value).startswith(text)
+
+    def test_integer_types_agree(self):
+        ns = [6, 10 ** 6, 2 ** 63 + 1, 10 ** 300]
+        want = [float(v) for v in big_f_n_values(ns)]
+        assert [big_f_n(n) for n in ns] == want
+        mixed = [np.int64(6), np.uint64(10 ** 6), np.uint64(2 ** 63 + 1),
+                 10 ** 300]
+        assert [float(v) for v in big_f_n_values(mixed)] == want
+        arr = np.arange(6, 501)
+        assert list(big_f_n_values(arr)) == list(big_f_n_values(range(6, 501)))
+        with pytest.raises(OverflowError):
+            big_f_n_values([6, 10 ** 400])
+
     def test_memory_peak(self):
         ns = range(6, 501)
         big_f_n_values(ns)

@@ -9,9 +9,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from osctun import analysis
+from osctun import analysis, cli
 from osctun.cli import _build_parser, _fmt, main
 
 
@@ -60,6 +61,12 @@ class TestGoldenRows:
         assert code == 0
         assert "passed: true" in out
         assert "endpoint_left: 0.629960524947" in out
+
+    def test_lemma_header_has_no_bare_dot(self, capsys):
+        code, out, _ = run_cli(capsys, ["lemma", "--x-max", "123456789012.5",
+                                        "--grid", "100"])
+        assert code == 0
+        assert out.splitlines()[0].endswith("on (1, 1.23456789012e+11]")
 
     def test_fn_ratios(self, capsys):
         code, out, _ = run_cli(capsys, ["fn", "--n-range", "6:8"])
@@ -484,9 +491,45 @@ class TestRepeatedCalls:
         assert sorted(os.listdir(seq_dir)) == ["F.csv", "F.gnuplot", "G.csv"]
 
 
+def dragon4_fmt(v):
+    """Reference cell formatter: every float goes through numpy's Dragon4.
+
+    This is _fmt without its %#.12g route; _fmt must print the same bytes.
+    """
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    v = float(v)
+    if not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    if 1e-4 <= abs(v) < 1e11:
+        s = np.format_float_positional(v, precision=12, unique=False,
+                                       fractional=False)
+        if s[-1] != ".":
+            return s
+    return np.format_float_scientific(v, precision=11, unique=False)
+
+
+def _neighbours(base, ulps=64, steps=30):
+    """Doubles around base: each ulp step, and relative steps of 1e-13."""
+    out = [base]
+    up = down = base
+    for _ in range(ulps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+        out += [up, down]
+    out += [base * (1.0 + j * 1e-13) for j in range(-steps, steps + 1)]
+    return out + [-v for v in out]
+
+
 class TestCellFormat:
-    # numpy's Dragon4 drops the zeros a round-up carry leaves; the CSV
-    # bytes depend on that, so a faster formatter must reproduce it.
+    # When Dragon4's 12 digits end early, because the value is short (0.25)
+    # or a carry ends them (0.15 prints 0.15000000000), it pads with zeros
+    # until 12 digits are printed, counting the zeros before the first
+    # significant one; %#.12g would print 0.250000000000.  The CSV bytes
+    # depend on that padding, so a faster formatter must reproduce it.
     @pytest.mark.parametrize("value, text", [
         (0.15, "0.15000000000"),
         (0.00015, "0.00015000000"),
@@ -494,9 +537,84 @@ class TestCellFormat:
         (99.8173134319568, "99.8173134320"),
         (1.5e-05, "1.50000000000e-05"),
         (-1.5e-07, "-1.50000000000e-07"),
+        (0.25, "0.25000000000"),
+        (0.125, "0.12500000000"),
+        (0.0012, "0.00120000000"),
+        (1234.5, "1234.50000000"),
+        (0.1, "0.100000000000"),
+        (821 / 8192, "0.100219726562"),
+        # A non-integer from 1e11 up, or an integer from 1e15 up, prints in
+        # scientific form, so no cell ends in a bare dot.
+        (123456789012.5, "1.23456789012e+11"),
+        (1e15, "1.00000000000e+15"),
+        (2e15, "2.00000000000e+15"),
+        (9.99999999999995e15, "1.00000000000e+16"),
+        (99999999999.5, "99999999999.5"),
+        (99999999999.97, "1.00000000000e+11"),
+        (2e11, "200000000000"),
     ])
     def test_fmt_cells(self, value, text):
         assert _fmt(value) == text
+        assert dragon4_fmt(value) == text
+
+    def test_matches_dragon4_on_sampled_doubles(self):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2 ** 64, 12000, dtype=np.uint64)
+        subnormal = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64)
+        log_uniform = 10.0 ** rng.uniform(-6.0, 17.0, 12000)
+        sign = rng.choice([-1.0, 1.0], log_uniform.size)
+        values = np.concatenate([
+            bits.view(np.float64), subnormal.view(np.float64),
+            -subnormal.view(np.float64), sign * log_uniform,
+            [math.nan, math.inf, -math.inf, 0.0, -0.0]])
+        assert values.size >= 20000
+        for v in values.tolist():
+            assert _fmt(v) == dragon4_fmt(v), repr(v)
+        for v in values[::7]:
+            assert type(v) is np.float64
+            assert _fmt(v) == dragon4_fmt(v), repr(v)
+
+    def test_matches_dragon4_on_ints(self):
+        ints = [0, 1, -1, 612, 10 ** 15, -(10 ** 17), 2 ** 64, 10 ** 400]
+        for v in ints + [np.int64(-7), np.uint64(2 ** 63), np.int32(40)]:
+            assert _fmt(v) == dragon4_fmt(v) == str(int(v))
+
+    @pytest.mark.parametrize("denominator", [8192, 16384])
+    def test_matches_dragon4_on_binary_ties(self, denominator):
+        # k/8192 and k/16384 have 13 or 14 significant decimals, so many of
+        # them are exact ties at 12 digits.
+        for k in range(1, 2 * denominator):
+            v = k / denominator
+            assert _fmt(v) == dragon4_fmt(v), repr(v)
+            assert _fmt(-v) == dragon4_fmt(-v), repr(-v)
+
+    @pytest.mark.parametrize("base", [1e-4, 1e11, 1e12, 1e15, 1e16])
+    def test_matches_dragon4_at_switch_points(self, base):
+        for v in _neighbours(base):
+            assert _fmt(v) == dragon4_fmt(v), repr(v)
+
+    @pytest.mark.parametrize("table", ["fig2", "fig5", "fn"])
+    def test_few_cells_reach_dragon4(self, monkeypatch, table):
+        # A silent fall-back to Dragon4 would keep every byte and lose the
+        # speed; count the cells that take it instead of timing them.
+        if table == "fn":
+            columns, rows = analysis.ratio_table(range(6, 501))
+        else:
+            data = analysis.figure_dataset(int(table[-1]))
+            columns, rows = data.columns, data.rows
+        floats = sum(1 for row in rows for v in row
+                     if isinstance(v, float) and v != int(v))
+        calls = []
+        real = cli._dragon4
+
+        def counted(v):
+            calls.append(v)
+            return real(v)
+
+        monkeypatch.setattr(cli, "_dragon4", counted)
+        cli._csv(columns, rows)
+        assert floats > 0
+        assert len(calls) <= 0.15 * floats
 
 
 class TestPinnedBytes:
