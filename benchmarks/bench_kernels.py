@@ -3,21 +3,18 @@
 Usage:
     python3 benchmarks/bench_kernels.py [--size 200000] [--repeats 7]
 
-Prints four tables and one row, each the best of --repeats runs:
+Prints three tables and one row, each the best of --repeats runs:
 
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
    points.
-2. Multi-level sweeps.  P_n is computed both ways, by one batched tail-sum
-   pass (_kernels.hermite_tail_sums) against one scalar pass per level
-   (_kernels.hermite_tail_sum); the route column says which side
-   tunneling_exact_values takes.  F_n has one route, the Chebyshev series
-   summed on the vector of levels (big_f_n_values), and is timed alone.
-3. The cost constant of that choice: one step of the batched pass over one
-   step of the scalar loop, at several batch widths.  A sweep takes the
-   batched pass when the sum of its levels exceeds this constant times its
-   largest level; quadrature._BATCH_STEP_COST holds the value in use.
-4. Two CLI calls made in process, fn --n-range 105:203 and
+2. Multi-level sweeps.  P_n by the Chebyshev series summed on the vector
+   of levels (quadrature.tunneling_exact_values), next to one call of
+   the O(n) tail sum per level (quadrature.tunneling_exact), which is
+   timed only where the levels sum to at most LOOP_STEPS (5..612 sums
+   to 187,568; 1..10^6 to 5e11, about a day of work); F_n by its
+   Chebyshev series (asymptotics.big_f_n_values).
+3. Two CLI calls made in process, fn --n-range 105:203 and
    compare --n-range 513:612, each writing its CSV into a temporary
    directory, split into parts: building the parser uncached
    (cli._build_parser.__wrapped__), parsing argv with the cached parser,
@@ -27,14 +24,13 @@ Prints four tables and one row, each the best of --repeats runs:
    cli.main call, whose parser is built once and then reused.  main is
    about parse + compute + _csv + stage; a one-shot process pays the build
    on top.
-5. One CSV cell: cli._fmt against cli._dragon4, the Dragon4 route that
+4. One CSV cell: cli._fmt against cli._dragon4, the Dragon4 route that
    every float cell took before _fmt tried %#.12g first, per cell over
    the float cells of figure 2.  The _csv column above shows what the
    difference is worth on a whole table.
 """
 
 import argparse
-import math
 import os
 import tempfile
 import time
@@ -42,6 +38,9 @@ import time
 import numpy as np
 
 from osctun import _kernels, analysis, asymptotics, cli, quadrature
+
+# The one-level loop is timed on sweeps whose levels sum to at most this.
+LOOP_STEPS = 10 ** 7
 
 
 def best_of(repeats, fn, *args):
@@ -69,56 +68,30 @@ def kernel_table(size, repeats):
         fn(*call_args)
         print("%-16s %12.3f" % (name, 1e3 * best_of(repeats, fn, *call_args)))
 
-def _nus(ns):
-    return [math.sqrt(2.0 * n + 1.0) for n in ns]
-
-
-def _scalar_sums(ns, nus):
-    return [_kernels.hermite_tail_sum(n, nu) for n, nu in zip(ns, nus)]
+def _loop(ns):
+    return [quadrature.tunneling_exact(n) for n in ns]
 
 
 def sweep_table(repeats):
     print("\nsweeps: best of %d runs" % repeats)
-    print("%-22s %9s %12s %12s  %s" % ("sweep", "sum/max", "batched [ms]",
-                                       "loop [ms]", "route"))
-    pn_sweeps = [
-        ("P_n 513..612", list(range(513, 613))),
-        ("P_n 5..612", list(range(5, 613))),
-        ("P_n 0..40 (fig 1)", list(range(0, 41))),
-        ("P_n 0:1000:100", list(range(0, 1001, 100))),
-        ("P_n [1, 20000]", [1, 20000]),
+    print("%-22s %12s %12s" % ("sweep", "series [ms]", "loop [ms]"))
+    sweeps = [
+        ("P_n 513..612", range(513, 613)),
+        ("P_n 5..612", range(5, 613)),
+        ("P_n 1..10^6", range(1, 10 ** 6 + 1)),
     ]
-    for name, ns in pn_sweeps:
-        nus = _nus(ns)
-        ratio = sum(ns) / max(ns)
-        t_batch = best_of(repeats, _kernels.hermite_tail_sums, ns, nus)
-        t_loop = best_of(repeats, _scalar_sums, ns, nus)
-        route = ("batched" if ratio > quadrature._BATCH_STEP_COST
-                 else "loop")
-        print("%-22s %9.1f %12.3f %12.3f  %s"
-              % (name, ratio, 1e3 * t_batch, 1e3 * t_loop, route))
-    print("\n%-22s %12s" % ("sweep", "series [ms]"))
+    for name, ns in sweeps:
+        t_series = best_of(repeats, quadrature.tunneling_exact_values, ns)
+        if sum(ns) <= LOOP_STEPS:
+            loop = "%12.3f" % (1e3 * best_of(repeats, _loop, ns))
+        else:
+            loop = "%12s" % "-"
+        print("%-22s %12.3f %s" % (name, 1e3 * t_series, loop))
     fn_sweeps = [("F_n 6..104", list(range(6, 105))),
                  ("F_n 6..500 (fig 4)", list(range(6, 501)))]
     for name, ns in fn_sweeps:
         t_series = best_of(repeats, asymptotics.big_f_n_values, ns)
-        print("%-22s %12.3f" % (name, 1e3 * t_series))
-
-
-def cost_table(repeats, top=2000):
-    print("\ncost constant: batched step / scalar step, levels up to %d "
-          "(in use: %d)" % (top, quadrature._BATCH_STEP_COST))
-    print("%-8s %14s %14s %8s" % ("width", "batched [us]", "scalar [us]",
-                                  "ratio"))
-    for width in (1, 10, 100, 300):
-        ns = list(range(top - width + 1, top + 1))
-        nus = _nus(ns)
-        step_batch = best_of(repeats, _kernels.hermite_tail_sums,
-                             ns, nus) / top
-        step_loop = best_of(repeats, _scalar_sums, ns, nus) / sum(ns)
-        print("%-8d %14.3f %14.3f %8.1f"
-              % (width, 1e6 * step_batch, 1e6 * step_loop,
-                 step_batch / step_loop))
+        print("%-22s %12.3f %12s" % (name, 1e3 * t_series, "-"))
 
 
 def cli_table(repeats):
@@ -184,7 +157,6 @@ def main():
     args = parser.parse_args()
     kernel_table(args.size, args.repeats)
     sweep_table(args.repeats)
-    cost_table(args.repeats)
     cli_table(args.repeats)
     cell_row(args.repeats)
 

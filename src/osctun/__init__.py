@@ -12,14 +12,16 @@ sqrt(2n) (psi_{n-1}^2 - psi_n^2) the tail integral telescopes to
 
     P_n = erfc(nu) + 2 sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k),
 
-a sum of positive terms from one stable pass of the Hermite recurrence at
-x = nu; its err_estimate, 2 (n + 4) eps P_n, covers the recurrence
-rounding, and the rounding of nu to double is corrected to first order
-(see osctun.quadrature).  The Airy-weighted integrals F_n depend on n
-only through s = (2n+1)^(-2/3) and come from an 18-term Chebyshev series
-in s with frozen coefficients (see osctun.asymptotics.big_f_n).  Sweeps
-over n (tunneling_exact_values, big_f_n_values) run in one pass across
-levels and return the bits of one call per level.  Adaptive Gauss-Kronrod
+and the identity holds at real order too, so P_n / sqrt(s) is a smooth
+function of s = (2n+1)^(-2/3).  tunneling_exact_values sums a 21-term
+Chebyshev series in s with frozen coefficients (tools/gen_p_series.py):
+O(1) at any level, err_estimate 4 eps P_n.  tunneling_exact(n) is the
+O(n) sum itself, err_estimate 2 (n + 4) eps P_n; the two agree within
+their err_estimates (see osctun.quadrature).  The Airy-weighted integrals
+F_n also depend on n only through s and come from an 18-term Chebyshev
+series (see osctun.asymptotics.big_f_n).  Sweeps over n
+(tunneling_exact_values, big_f_n_values) run in one vector pass and
+return the bits of one call per level.  Adaptive Gauss-Kronrod
 quadrature checks both in the tests; no production route runs it.
 """
 

@@ -13,12 +13,12 @@ Kernels:
                               safeguarded Newton on the 3/2-power form
 - zeta_from_e(e), f_from_e(e): forward turning-point map and its f ratio,
                               series near e = x - 1 = 0, direct form elsewhere
+- chebyshev_of_s(c, s):       sum of c_k T_k(2s/S_MAX - 1) on an s array by
+                              Clenshaw's recurrence; the P_n and F_n series
 - hermite_tail_sum(n, x):     sum of psi_k psi_{k-1} / sqrt(2k) over k <= n
                               and psi_n at one x beyond the turning point; a
-                              plain Python scalar loop
-- hermite_tail_sums(n, x):    the same for many (n_j, x_j) at once, one
-                              numpy pass over k <= max n with the scalar
-                              loop's bits
+                              plain Python scalar loop, O(n), behind the
+                              one-level quadrature.tunneling_exact
 """
 
 import math
@@ -34,6 +34,10 @@ INV_LN2 = 1.0 / math.log(2.0)
 TWO_13 = 2.0 ** (1.0 / 3.0)        # 2^(1/3)
 TWO_M13 = 2.0 ** (-1.0 / 3.0)
 TWO_M23 = 2.0 ** (-2.0 / 3.0)      # f at the turning point
+
+# The P_n and F_n series in s = (2n+1)^(-2/3) are both on [0, S_MAX], whose
+# right end is n = 1 and whose left end s = 0 is n -> infinity.
+S_MAX = 3.0 ** (-2.0 / 3.0)
 
 # recurrence renormalization thresholds; +-600 keeps mantissa*mantissa safe
 _RESCALE_HI = 2.0 ** 600
@@ -213,7 +217,19 @@ def g_of_e(e):
 
 
 # ---------------------------------------------------------------------------
-# telescoping tail sum: scalar loop and its batched form
+# Chebyshev series and the telescoping tail sum
+
+def chebyshev_of_s(coeffs, s):
+    """sum_k coeffs[k] T_k(2s/S_MAX - 1) on an array s, by Clenshaw's
+    recurrence."""
+    x = 2.0 * s / S_MAX - 1.0
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
+
 
 def psi0_scaled(x):
     """(m, e) with psi_0(x) = m * 2^e to a few ulp, for any float x.
@@ -257,80 +273,6 @@ def hermite_tail_sum(n, x):
             s *= lo2
             ioff += _SUM_RESCALE_BITS
     return math.ldexp(0.5 * s, 2 * ioff), math.ldexp(m1, ioff)
-
-
-def hermite_tail_sums(n, x):
-    """hermite_tail_sum(n[j], x[j]) for every j, from one recurrence.
-
-    One pass over k = 1..max n runs the scalar loop's arithmetic on the
-    vector of x_j, op for op, so every result has the scalar bits: psi_0
-    comes from psi0_scaled, and a column rescales only at the steps where
-    the scalar loop would.  Column j is read off at step k = n[j] and then
-    leaves the pass.  n may be unsorted and hold duplicates or zeros.
-    Returns the arrays (S, psi_n) in input order.
-
-    The bookkeeping (sorting, reading off, the final ldexp) is plain
-    Python, and a rescale touches only the columns that need it, so the
-    pass calls no numpy routine beyond elementwise arithmetic and argmax:
-    the first call of any other maps up to 128 KB of numpy's code into
-    the resident set, which would cost more than a sweep's own arrays.
-    """
-    n = [int(v) for v in n]
-    order = sorted(range(len(n)), key=n.__getitem__)
-    ns = [n[j] for j in order]
-    xl = [float(x[j]) for j in order]
-    xs = np.array(xl)
-    count = len(ns)
-    seeds = [psi0_scaled(xj) for xj in xl]
-    m1 = np.array([m for m, _ in seeds])
-    ioff = [e for _, e in seeds]
-    m0 = np.zeros(count)
-    s = np.zeros(count)
-    tmp = np.empty(count)
-    # s of a column stays as it was when the column left the pass; its
-    # psi_n mantissa is copied out, since the m buffers rotate
-    psi_m = m1.tolist()
-    done = 0
-    while done < count and ns[done] == 0:
-        done += 1
-    sqrt = math.sqrt
-    hi, lo, lo2 = _SUM_RESCALE_HI, _SUM_RESCALE_LO, _SUM_RESCALE_LO ** 2
-    # t_k as 0-d arrays, which numpy broadcasts faster than a Python float
-    t0 = np.zeros(())
-    t1 = np.empty(())
-    vx, vm0, vm1, vs, vt = (a[done:] for a in (xs, m0, m1, s, tmp))
-    for k in range(1, (ns[-1] if count else 0) + 1):
-        t1[()] = sqrt(0.5 * k)
-        np.multiply(vx, vm1, vt)
-        np.multiply(vm0, t0, vm0)
-        np.subtract(vt, vm0, vt)
-        np.divide(vt, t1, vt)
-        # (m0, m1) <- (m1, new); the old m0 buffer becomes the scratch
-        m0, m1, tmp = m1, tmp, m0
-        vm0, vm1, vt = vm1, vt, vm0
-        np.multiply(vm1, vm0, vt)
-        np.divide(vt, t1, vt)
-        np.add(vs, vt, vs)
-        t0, t1 = t1, t0
-        j = int(vm1.argmax())
-        while vm1[j] > hi:
-            vm0[j] *= lo
-            vm1[j] *= lo
-            vs[j] *= lo2
-            ioff[done + j] += _SUM_RESCALE_BITS
-            j = int(vm1.argmax())
-        if ns[done] == k:
-            while done < count and ns[done] == k:
-                psi_m[done] = float(m1[done])
-                done += 1
-            vx, vm0, vm1, vs, vt = (a[done:] for a in (xs, m0, m1, s, tmp))
-    res_s = np.empty(count)
-    res_psi = np.empty(count)
-    ldexp = math.ldexp
-    for j, sj, mj, ej in zip(order, s.tolist(), psi_m, ioff):
-        res_s[j] = ldexp(0.5 * sj, 2 * ej)
-        res_psi[j] = ldexp(mj, ej)
-    return res_s, res_psi
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ _BIG_F_CHEBYSHEV = (
     9.592247901234408e-19,
     -1.4697624216915427e-19,
 )
-_S_MAX = 3.0 ** (-2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,7 @@ def _check_order(n):
 
 def _big_f_of_s(s):
     """F(s) on an array of s in [0, 3^(-2/3)], by Clenshaw's recurrence."""
-    x = 2.0 * s / _S_MAX - 1.0
-    x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in _BIG_F_CHEBYSHEV[:0:-1]:
-        b1, b2 = c + x2 * b1 - b2, b1
-    return _BIG_F_CHEBYSHEV[0] + x * b1 - b2
+    return _kernels.chebyshev_of_s(_BIG_F_CHEBYSHEV, s)
 
 
 def big_f_n(n):
@@ -208,15 +201,7 @@ def big_f_n_values(ns):
     Every n is checked before any is computed; then the series is summed
     once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
-    levels = list(ns)
-    types = set(map(type, levels))
-    # Integer levels (not bools) are checked by one min(); any other type,
-    # or a level below 1, takes the one-level check, which raises on the
-    # first bad level.
-    if (bool in types
-            or not all(issubclass(t, (int, np.integer)) for t in types)
-            or (levels and min(levels) < 1)):
-        levels = [_check_order(n) for n in levels]
+    levels = specfun._check_levels(ns, 1, _check_order)
     nu2 = 2.0 * np.array(levels, dtype=np.float64) + 1.0
     return _big_f_of_s(nu2 ** (-2.0 / 3.0))
 

@@ -10,9 +10,9 @@ The tunneling probability of oscillator level n is
 
     P_n = 2 * integral of psi_n(x)^2 from nu = sqrt(2n+1) to infinity,
 
-and tunneling_exact evaluates it with no quadrature at all.  The ladder
-relation psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1} and the
-three-term recurrence (DLMF 18.9) give
+and neither route below runs quadrature.  The ladder relation
+psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1} and the three-term
+recurrence (DLMF 18.9) give
 
     d/dx [psi_n psi_{n-1}] = sqrt(2n) (psi_{n-1}^2 - psi_n^2),
 
@@ -22,16 +22,21 @@ and
 
     P_n = erfc(nu) + 2 * sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k).
 
-The sum is one pass of the normalized recurrence at x = nu
-(_kernels.hermite_tail_sum); tunneling_exact_values runs a sweep of levels
-as one batched pass (_kernels.hermite_tail_sums) when that is cheaper.  nu
-lies beyond the largest zero of every psi_k with k <= n, so every term is
-positive and nothing cancels, and at a fixed x beyond the turning point the
-forward recurrence in k follows its growing solution, which makes it stable
-(Gil, Segura and Temme, Numerical Methods for Special Functions, ch. 4).
-The adaptive engine stays in the tests as the independent check of this
-route and of the F_n series in asymptotics.big_f_n; no production route
-runs it.
+tunneling_exact(n) sums this with one O(n) pass of the normalized
+recurrence at x = nu (_kernels.hermite_tail_sum).  nu lies beyond the
+largest zero of every psi_k with k <= n, so every term is positive and
+nothing cancels, and at a fixed x beyond the turning point the forward
+recurrence in k follows its growing solution, which makes it stable (Gil,
+Segura and Temme, Numerical Methods for Special Functions, ch. 4).
+
+The same identity holds at real order, so P is a function of the real
+level, and G(s) = s^(-1/2) P with s = (2n+1)^(-2/3) is analytic on
+[0, 3^(-2/3)].  tunneling_exact_values sums a 21-term Chebyshev series of
+G, with coefficients frozen by tools/gen_p_series.py, on the vector of s:
+O(1) a level, and within 1.4 eps of 50-digit references.  Every CLI P_n
+comes from it.  The adaptive engine stays in the tests as the independent
+check of both routes and of the F_n series in asymptotics.big_f_n; no
+production route runs it.
 """
 
 import math
@@ -50,10 +55,39 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# One step of the batched tail-sum pass costs about as much as this many
-# steps of the scalar loop (numpy call overhead against one CPython step),
-# measured with benchmarks/bench_kernels.py; see tunneling_exact_values.
-_BATCH_STEP_COST = 36
+# G(s) = s^(-1/2) P with s = (2n+1)^(-2/3) is analytic on [0, 3^(-2/3)],
+# and G(0) = 2^(4/3) Ai'(0)^2.  G(s) = sum_k c_k T_k(2s/3^(-2/3) - 1); the first
+# dropped coefficient, c_21, is about 1.2e-19.  Written verbatim by
+# tools/gen_p_series.py from 50-digit real-order telescoping sums at 40
+# Chebyshev points; do not edit by hand.
+_P_CHEBYSHEV = (
+    0.1644542340415734,
+    -0.003883299830501597,
+    0.0004288048165263236,
+    -3.065501094194424e-05,
+    7.730328680520645e-07,
+    -8.399062099792459e-08,
+    2.8748148128091622e-08,
+    -2.4820082378290043e-09,
+    -1.6364844381372958e-10,
+    1.4629592581404117e-11,
+    1.0580779861103058e-11,
+    -1.7289452128746065e-12,
+    -1.8143497993029948e-13,
+    6.683379440479609e-14,
+    4.194009817867361e-15,
+    -3.719701682281342e-15,
+    2.293192450691417e-16,
+    1.5826693601017849e-16,
+    -3.1604521272068135e-17,
+    -4.80997672045123e-18,
+    2.6229135198875533e-18,
+)
+# P_0 = erfc(1), at s = 1 beyond the series' interval.
+_P_ZERO = math.erfc(1.0)
+# err_estimate of the series in units of eps P; the worst error measured
+# against 50-digit references is 1.4 eps (tests/test_quadrature.py).
+_SERIES_EPS = 4.0
 
 # 15-point Kronrod abscissas (ascending) with their weights, and the embedded
 # 7-point Gauss weights on the odd-index nodes.  Frozen to 17 digits.
@@ -325,7 +359,7 @@ def integrate_semi_infinite(f, a, config=None, breakpoints=None):
 
 
 def tunneling_exact(n, config=None):
-    """Exact tunneling probability P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1).
+    """P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1), by the O(n) tail sum.
 
     Parameters
     ----------
@@ -343,12 +377,18 @@ def tunneling_exact(n, config=None):
 
     Notes
     -----
-    The sum in the module docstring is evaluated at the double nu that
-    rounds sqrt(2n+1), with psi_0 taken at that same double so that every
-    term belongs to one function of a.  The rounding of nu alone moves P by
-    up to psi_n^2 ulp(nu), which is 3e-14 of P_n at n = 1000 and grows like
-    n^(2/3) eps: the double-precision limit of any method that takes nu as
-    a double.  To first order the shift is
+    This is the one-level route of the telescoping sum in the module
+    docstring, n steps of a CPython loop; tunneling_exact_values, the
+    O(1) Chebyshev series, is the route every CLI sweep takes.  The two
+    agree within the sum of their err_estimates, not bit for bit.  This
+    one stays the sum until perfbench's pn_points workload, which calls
+    it, can time microsecond calls (ROADMAP item 1).
+
+    The sum is evaluated at the double nu that rounds sqrt(2n+1), with
+    psi_0 taken at that same double so that every term belongs to one
+    function of a.  The rounding of nu alone moves P by up to
+    psi_n^2 ulp(nu), which is 3e-14 of P_n at n = 1000 and grows like
+    n^(2/3) eps.  To first order the shift is
     -dP/da * (nu - sqrt(2n+1)) = 2 psi_n^2 * r / (2 nu), where
     r = nu^2 - (2n+1) is formed exactly with two_prod, and that term is
     added back.  What remains is rounding in the n recurrence steps and the
@@ -373,21 +413,23 @@ def _exact_result(state, tail, psi_n):
 
 
 def tunneling_exact_values(ns):
-    """tunneling_exact(n) for every n in ns, in input order, bit for bit.
+    """P_n for every n in ns, in input order, as TunnelingResults.
 
-    Every n is checked before any is computed, and a repeated n is
-    computed once.  The levels share one batched pass of the recurrence
-    (_kernels.hermite_tail_sums), of max n steps, when that is cheaper
-    than one scalar pass per level, of n steps each: that is, when the
-    sum of the levels exceeds _BATCH_STEP_COST times the largest.
+    Every n is checked before any is computed.  Then the Chebyshev series
+    of G(s) = s^(-1/2) P is summed once on the vector of
+    s = (2n+1)^(-2/3), formed from the exact double 2n+1, and
+    P = sqrt(s) G: about 21 multiply-adds a level at any n.  n = 0 is
+    erfc(1).  err_estimate is _SERIES_EPS eps P_n; the worst error
+    measured against 50-digit references, from n = 0 to 10^12, is 1.4 eps.
     """
-    states = [specfun.OscillatorState.from_n(n) for n in ns]
-    levels = {st.n: st for st in states}
-    if sum(levels) > _BATCH_STEP_COST * max(levels, default=0):
-        tails, psis = _kernels.hermite_tail_sums(
-            list(levels), [st.nu for st in levels.values()])
-        by_n = {n: _exact_result(st, float(tail), float(psi))
-                for (n, st), tail, psi in zip(levels.items(), tails, psis)}
-    else:
-        by_n = {n: tunneling_exact(n) for n in levels}
-    return [by_n[st.n] for st in states]
+    levels = specfun._check_levels(ns)
+    # nu^(2/3) = cbrt(2n+1), so s = nu^(-4/3) and P = G(s) / nu^(2/3).
+    nu23 = np.cbrt(2.0 * np.array(levels, dtype=np.float64) + 1.0)
+    values = _kernels.chebyshev_of_s(_P_CHEBYSHEV, 1.0 / (nu23 * nu23))
+    values /= nu23
+    if 0 in levels:
+        values[nu23 == 1.0] = _P_ZERO
+    errs = (_SERIES_EPS * _EPS) * values
+    return [TunnelingResult(n=int(n), value=v, method="exact",
+                            err_estimate=e)
+            for n, v, e in zip(levels, values.tolist(), errs.tolist())]

@@ -76,6 +76,23 @@ def _check_n(n):
         raise ValueError("n must be nonnegative, got %d" % n)
 
 
+def _check_levels(ns, lowest=0, check=_check_n):
+    """The levels ns as a list, once check has passed each of them.
+
+    Integer levels (not bools) are checked by one min(); any other type,
+    or a level below lowest, takes check level by level, which raises on
+    the first bad level.
+    """
+    levels = list(ns)
+    types = set(map(type, levels))
+    if (bool in types
+            or not all(issubclass(t, (int, np.integer)) for t in types)
+            or (levels and min(levels) < lowest)):
+        for n in levels:
+            check(n)
+    return levels
+
+
 def _as_array(x, name="x"):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):

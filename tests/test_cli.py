@@ -7,8 +7,10 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -183,38 +185,6 @@ class TestUsageErrors:
         assert "range lists more than 1000000 levels" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["exact", "--n", "1000000000000"],
-        ["exact", "--n-range", "0:2000000:1000"],
-        ["compare", "--n-range", "999990:1000001"],
-    ])
-    def test_exact_level_above_ceiling(self, capsys, argv):
-        # P_n costs O(n) steps, so exact and compare stop at n = 10^6
-        # instead of running for days.
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert "supports n <= 1000000" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["exact", "--n-range", "1:1000000"],
-        ["compare", "--n-range", "1:50000"],
-    ])
-    def test_exact_work_above_ceiling(self, capsys, monkeypatch, argv):
-        # Each level is allowed, but their sum passes 10^9 recurrence
-        # steps, so the sweep is refused before any P_n is computed.
-        import osctun.cli as climod
-
-        def must_not_run(ns):
-            raise AssertionError("no level may be computed")
-
-        monkeypatch.setattr(climod, "tunneling_exact_values", must_not_run)
-        monkeypatch.setattr(analysis, "tunneling_exact_values", must_not_run)
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert "summing to at most 1000000000" in err
-
     @pytest.mark.parametrize("flag", [
         ["--x-max", "inf"],
         ["--x-max", "1e200"],
@@ -250,6 +220,26 @@ class TestUsageErrors:
         code, out, _ = run_cli(capsys, ["exact", "--n", "1000000"])
         assert code == 0
         assert out.splitlines()[1].startswith("1000000,")
+
+    def test_huge_exact_level_is_quick(self, capsys):
+        # P_n costs O(1) at any level, so no level ceiling is needed.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["exact", "--n", "1000000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[1].startswith("1000000000000,1.33974967437e-05,")
+
+    def test_million_level_sweep_matches_single_levels(self, capsys):
+        code, out, _ = run_cli(capsys, ["exact", "--n-range",
+                                        "1:1000000:1000"])
+        assert code == 0
+        head, *rows = out.splitlines()
+        assert len(rows) == 1000
+        for row in rows:
+            n = row.split(",")[0]
+            code, one, _ = run_cli(capsys, ["exact", "--n", n])
+            assert code == 0
+            assert one.splitlines() == [head, row]
 
     def test_plot_script_path_is_directory(self, tmp_path, capsys):
         # The script's target cannot be written, so neither file is
@@ -618,17 +608,49 @@ class TestCellFormat:
 
 
 class TestPinnedBytes:
-    # SHA-256 of the CSVs as the one-level routes wrote them, level by
-    # level; the batched sweeps must reproduce every byte.
+    # SHA-256 of the CSVs.  Figures 2 and 5 carry the P_n series' error
+    # columns, which test_figure_five_cells_are_the_rounded_truth checks
+    # cell by cell; figure 4 is the F_n series.
     @pytest.mark.parametrize("fig_id, digest", [
-        (2, "e199eac5fb743eed6c9c66448f3d7804721228d1eafcd1effb7bb34d01617975"),
+        (2, "ddab4a6dcd36e30628d4651bd999646c9025cffff86d72273637e370fad7e886"),
         (4, "0e048299b1d4d990240df98a236258d4dd31e86a6c68ce3c7372ca1487523e6a"),
-        (5, "21a69db69795cccb21d36347f36cf13e5b7e4c1f660f074f00ed1d0c5226949e"),
+        (5, "e4c3c64235edc2713e204dd5d5e111167591a9d1541d55ce278f3d75a3014e65"),
     ])
     def test_figure_csv_digest(self, capsys, fig_id, digest):
         code, out, _ = run_cli(capsys, ["fig", "--id", str(fig_id)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_figure_five_cells_are_the_rounded_truth(self, capsys, mp_p):
+        # Every numeric cell is the 50-digit truth rounded to 12 significant
+        # digits, within one unit in the 12th.  The error columns are
+        # differences that cancel up to 5 digits of P_n, so this holds only
+        # when P_n is good to about 1e-16.
+        code, out, _ = run_cli(capsys, ["fig", "--id", "5"])
+        assert code == 0
+        head, *rows = out.splitlines()
+        assert len(rows) == 100
+        with mpmath.workdps(50):
+            ai = mpmath.airyai(0)
+            aip = mpmath.airyai(0, derivative=1)
+            c1 = 2 / (mpmath.mpf(3) ** (mpmath.mpf(2) / 3)
+                      * mpmath.gamma(mpmath.mpf(1) / 3) ** 2)
+            c2 = mpmath.mpf(2) / 5 * (-ai * aip / 3)
+            for row in rows:
+                cells = row.split(",")
+                n = int(cells[0])
+                p = mp_p(n)
+                lead = c1 * mpmath.mpf(n) ** (-mpmath.mpf(1) / 3)
+                sec = lead - c2 / n
+                truth = (p, lead, sec, abs(p - lead), abs(p - sec),
+                         abs(p - sec) * mpmath.mpf(n) ** (mpmath.mpf(4) / 3))
+                for name, text, want in zip(head.split(",")[1:], cells[1:],
+                                            truth):
+                    unit = mpmath.mpf(10) ** (
+                        int(mpmath.floor(mpmath.log10(want))) - 11)
+                    gap = (mpmath.nint(mpmath.mpf(text) / unit)
+                           - mpmath.nint(want / unit))
+                    assert abs(gap) <= 1, (n, name, text)
 
     @pytest.mark.parametrize("argv", [
         ["exact", "--n-range", "0:1000:7"],

@@ -1,5 +1,5 @@
 """The kernels match independent evaluations: mpmath, direct recurrences
-and the scalar loop behind each batched pass."""
+and numpy's Chebyshev sum."""
 
 import numpy as np
 import pytest
@@ -59,16 +59,12 @@ def test_tail_sum_matches_recurrence(n):
     assert abs(s - want) <= 1e-12 * want
 
 
-def test_tail_sums_match_scalar_loop():
-    # Unsorted, with zeros and repeated levels, and with x off nu so the
-    # columns of one level differ: each column has the scalar loop's bits.
-    n = np.array([300, 0, 17, 1, 300, 0, 612, 2, 17, 1000])
-    x = np.sqrt(2.0 * n + 1.0) + np.linspace(0.0, 0.9, n.size)
-    s, psi = _kernels.hermite_tail_sums(n, x)
-    for j in range(n.size):
-        assert (s[j], psi[j]) == _kernels.hermite_tail_sum(int(n[j]), x[j])
-    s, psi = _kernels.hermite_tail_sums([], [])
-    assert s.shape == psi.shape == (0,)
+def test_chebyshev_of_s_matches_chebval():
+    coeffs = (0.5, -0.25, 0.125, 1e-3, -2e-5, 3e-7)
+    s = np.linspace(0.0, _kernels.S_MAX, 41)
+    want = np.polynomial.chebyshev.chebval(2.0 * s / _kernels.S_MAX - 1.0,
+                                           coeffs)
+    assert np.all(np.abs(_kernels.chebyshev_of_s(coeffs, s) - want) <= 1e-15)
 
 
 def test_extreme_order_finite():

@@ -1,7 +1,9 @@
 """Adaptive engine against closed forms and independent oracles.
 
-The exact P_n comes from a telescoping sum, not from quadrature; the
-adaptive engine serves as its independent oracle here.
+The exact P_n comes from a Chebyshev series in s = (2n+1)^(-2/3) for
+sweeps and from the O(n) telescoping sum for one level, not from
+quadrature; 50-digit mpmath sums and the adaptive engine are their
+independent oracles here.
 """
 
 import math
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osctun import _kernels, specfun
+from osctun import _kernels, quadrature, specfun
 from osctun.quadrature import (DEFAULT_CONFIG, NonConvergenceError,
                                QuadratureConfig, TruncationFailureError,
                                integrate_finite, integrate_semi_infinite,
                                tunneling_exact, tunneling_exact_values)
+
+EPS = float(np.finfo(float).eps)
 
 
 class CountingIntegrand:
@@ -168,24 +172,6 @@ def mp_tunneling(n):
         return 2 * mpmath.quad(dens, [nu, nu + 2, nu + 10, mpmath.inf])
 
 
-def mp_tail_sum(n):
-    """P_n to 50 digits from the telescoping sum at the exact nu.
-
-    The normalized recurrence runs in mpmath at 50 digits, so the double
-    route's roundings and its rounding of nu are both absent.
-    """
-    with mpmath.workdps(50):
-        nu = mpmath.sqrt(2 * n + 1)
-        prev = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-nu * nu / 2)
-        total = mpmath.erfc(nu)
-        cur = prev
-        for k in range(1, n + 1):
-            prev, cur = cur, (mpmath.sqrt(mpmath.mpf(2) / k) * nu * cur
-                              - mpmath.sqrt(mpmath.mpf(k - 1) / k) * prev)
-            total += 2 * cur * prev / mpmath.sqrt(2 * k)
-        return total
-
-
 class TestTunneling:
     def test_ground_state_is_erfc_one(self):
         r = tunneling_exact(0)
@@ -195,17 +181,17 @@ class TestTunneling:
         assert r.err_estimate >= 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_low_levels_against_mpmath(self, n):
+    def test_low_levels_against_mpmath(self, n, mp_p):
         want = mp_tunneling(n)
-        r = tunneling_exact(n)
-        assert abs(r.value - want) <= r.err_estimate
+        for r in (tunneling_exact(n), tunneling_exact_values([n])[0]):
+            assert abs(r.value - want) <= r.err_estimate
         # The 50-digit reference of the spot checks agrees with quadrature.
-        assert abs(mp_tail_sum(n) - want) < 1e-25
+        assert abs(mp_p(n) - want) < 1e-25
 
     @pytest.mark.parametrize("n", [100, 300, 612, 1000])
-    def test_err_estimate_bounds_50_digit_error(self, n):
+    def test_err_estimate_bounds_50_digit_error(self, n, mp_p):
         r = tunneling_exact(n)
-        assert abs(r.value - mp_tail_sum(n)) <= r.err_estimate
+        assert abs(r.value - mp_p(n)) <= r.err_estimate
 
     def test_value_in_unit_interval_and_decreasing(self):
         vals = [tunneling_exact(n).value for n in range(0, 51)]
@@ -238,12 +224,12 @@ def _must_not_run(*args):
 
 
 class TestTunnelingSweep:
-    """tunneling_exact_values has the bits of tunneling_exact on both sides
-    of its cost rule."""
+    """tunneling_exact_values gives a level the bits of its own one-level
+    call, in any order, with repeats, next to any other levels."""
 
     @pytest.fixture(scope="class")
     def singles(self):
-        return [tunneling_exact(n) for n in range(1001)]
+        return [tunneling_exact_values([n])[0] for n in range(1001)]
 
     def test_dense_sweep_in_order(self, singles):
         assert tunneling_exact_values(range(1001)) == singles
@@ -253,24 +239,31 @@ class TestTunnelingSweep:
         random.Random(11).shuffle(ns)
         assert tunneling_exact_values(ns) == [singles[n] for n in ns]
 
-    def test_dense_sweep_takes_batched_pass(self, singles, monkeypatch):
-        monkeypatch.setattr(_kernels, "hermite_tail_sum", _must_not_run)
-        assert tunneling_exact_values(range(513, 613)) == singles[513:613]
+    def test_duplicates_of_one_level(self, singles):
+        for n in (0, 1, 612):
+            assert tunneling_exact_values([n] * 5) == [singles[n]] * 5
 
-    @pytest.mark.parametrize("ns", [list(range(0, 1001, 100)), [1, 20000]])
-    def test_sparse_sweep_takes_scalar_loop(self, ns, monkeypatch):
-        want = [tunneling_exact(n) for n in ns]
-        monkeypatch.setattr(_kernels, "hermite_tail_sums", _must_not_run)
+    def test_large_levels_any_order(self):
+        ns = [10 ** 12, 0, 10 ** 6, 1, 2 ** 62, np.int64(37), 10 ** 300]
+        want = [tunneling_exact_values([n])[0] for n in ns]
         assert tunneling_exact_values(ns) == want
+        assert tunneling_exact_values(ns[::-1]) == want[::-1]
+
+    def test_result_fields(self):
+        (r,) = tunneling_exact_values([np.int64(612)])
+        assert type(r.n) is int and r.n == 612
+        assert r.method == "exact"
+        assert r.err_estimate == quadrature._SERIES_EPS * EPS * r.value
 
     def test_checks_every_level_first(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "hermite_tail_sum", _must_not_run)
-        monkeypatch.setattr(_kernels, "hermite_tail_sums", _must_not_run)
+        assert tunneling_exact_values([]) == []
+        monkeypatch.setattr(_kernels, "chebyshev_of_s", _must_not_run)
         with pytest.raises(ValueError):
             tunneling_exact_values(list(range(100)) + [-1])
         with pytest.raises(TypeError):
             tunneling_exact_values([3, True])
-        assert tunneling_exact_values([]) == []
+        with pytest.raises(TypeError):
+            tunneling_exact_values([3, 4.0])
 
     def test_memory_peak(self):
         tunneling_exact_values(range(5, 613))
@@ -281,6 +274,77 @@ class TestTunnelingSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+# P_n to 50 digits at levels where the reference sum costs about 0.5 s,
+# 5 s and 50 s: the conftest mp_p recurrence, run once and stored.
+STORED_P = {
+    10 ** 4: "0.0062172398729466284498726846736441027007481270119943",
+    10 ** 5: "0.0028862758816535052122624605882283033780974808425806",
+    10 ** 6: "0.0013397372012478571366113013846982157652863782924778",
+}
+
+
+def mp_p_asymptotic(n):
+    """sqrt(s) (a0 + a1 s + a2 s^2), s = (2n+1)^(-2/3), at 50 digits.
+
+    a0 = 2^(4/3) Ai'(0)^2, a1 = (4/15) Ai(0) Ai'(0) and
+    a2 = (11/100) 2^(2/3) Ai(0)^2 are the first Taylor coefficients of
+    G(s) = s^(-1/2) P at s = 0; a3 s^3 is below 1e-19 of P from n = 10^9.
+    """
+    with mpmath.workdps(50):
+        ai, aip = mpmath.airyai(0), mpmath.airyai(0, derivative=1)
+        two = mpmath.mpf(2)
+        a0 = two ** (two * 2 / 3) * aip ** 2
+        a1 = mpmath.mpf(4) / 15 * ai * aip
+        a2 = mpmath.mpf(11) / 100 * two ** (two / 3) * ai ** 2
+        s = mpmath.mpf(2 * n + 1) ** (-two / 3)
+        return mpmath.sqrt(s) * (a0 + a1 * s + a2 * s * s)
+
+
+class TestTunnelingSeries:
+    """The series' err_estimate bounds its error against 50-digit
+    references at every level checked, from n = 0 to 10^12."""
+
+    def test_bound_against_50_digit_sums(self, mp_p):
+        ns = list(range(1, 301)) + list(range(37, 2001, 37))
+        for r in tunneling_exact_values(ns):
+            assert abs(r.value - mp_p(r.n)) <= r.err_estimate, r.n
+
+    def test_bound_against_stored_sums(self):
+        for r in tunneling_exact_values(list(STORED_P)):
+            want = mpmath.mpf(STORED_P[r.n])
+            assert abs(r.value - want) <= r.err_estimate, r.n
+
+    @pytest.mark.parametrize("n", [10 ** 9, 10 ** 12])
+    def test_bound_against_asymptotic_series(self, n):
+        (r,) = tunneling_exact_values([n])
+        assert abs(r.value - mp_p_asymptotic(n)) <= r.err_estimate
+
+    def test_ground_state(self):
+        (r,) = tunneling_exact_values([0])
+        assert r.value == math.erfc(1.0)
+        assert abs(r.value - mpmath.erfc(1)) <= r.err_estimate
+
+    def test_series_ends(self, mp_p):
+        # s = 0 (n -> infinity) gives a0 within 2 ulp; s = 3^(-2/3), the
+        # top of the interval, gives P_1.
+        g = _kernels.chebyshev_of_s(quadrature._P_CHEBYSHEV,
+                                    np.array([0.0, _kernels.S_MAX]))
+        with mpmath.workdps(50):
+            a0 = mpmath.mpf(2) ** (mpmath.mpf(4) / 3) * mpmath.airyai(
+                0, derivative=1) ** 2
+        assert abs(g[0] - a0) <= 2.0 * math.ulp(float(a0))
+        p1 = math.sqrt(_kernels.S_MAX) * g[1]
+        assert abs(p1 - mp_p(1)) <= quadrature._SERIES_EPS * EPS * p1
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(min_value=1, max_value=5000))
+    def test_agrees_with_the_tail_sum(self, n):
+        (r,) = tunneling_exact_values([n])
+        one = tunneling_exact(n)
+        assert abs(r.value - one.value) <= r.err_estimate + one.err_estimate
 
 
 class TestLadderIdentity:
