@@ -27,6 +27,19 @@ def run_cli(capsys, argv):
     return code, out.out, out.err
 
 
+# The first level whose 2n+1 = 2^1024 - 2^970 + 1 rounds past the largest
+# double (ties go to even, here infinity).
+_FIRST_LEVEL_PAST_DOUBLE = 2 ** 1023 - 2 ** 969
+
+
+def _forbid_p_sweeps(monkeypatch):
+    def must_not_run(ns):
+        raise AssertionError("no level may be computed")
+
+    monkeypatch.setattr(cli, "tunneling_exact_values", must_not_run)
+    monkeypatch.setattr(analysis, "tunneling_exact_values", must_not_run)
+
+
 class TestGoldenRows:
     def test_exact_ground_state(self, capsys):
         code, out, _ = run_cli(capsys, ["exact", "--n", "0"])
@@ -184,6 +197,44 @@ class TestUsageErrors:
         assert out == ""
         assert "range lists more than 1000000 levels" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n", str(_FIRST_LEVEL_PAST_DOUBLE)],
+        ["exact", "--n-range", "%d:%d" % (_FIRST_LEVEL_PAST_DOUBLE - 1,
+                                          _FIRST_LEVEL_PAST_DOUBLE)],
+        ["compare", "--n-range", "%d:%d" % (_FIRST_LEVEL_PAST_DOUBLE - 1,
+                                            _FIRST_LEVEL_PAST_DOUBLE)],
+    ])
+    def test_exact_level_above_ceiling(self, capsys, monkeypatch, argv):
+        # P_n costs O(1) at any level, so exact and compare stop only at the
+        # first level whose 2n+1 rounds past the largest double, before any
+        # P_n is computed.
+        _forbid_p_sweeps(monkeypatch)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "2n+1 must fit a double" in err
+
+    def test_level_below_ceiling_runs(self, capsys):
+        code, out, _ = run_cli(capsys, ["exact", "--n",
+                                        str(_FIRST_LEVEL_PAST_DOUBLE - 1)])
+        assert code == 0
+        assert out.splitlines()[1].endswith(",2.99085348960e-104,"
+                                            "2.65641152595e-119")
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n-range", "0:1000000"],
+        ["compare", "--n-range", "1:1000001"],
+    ])
+    def test_exact_work_above_ceiling(self, capsys, monkeypatch, argv):
+        # Each level costs O(1), so a sweep's work is bounded by its level
+        # count: a range of 10^6 + 1 levels is refused before any P_n is
+        # computed.
+        _forbid_p_sweeps(monkeypatch)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "range lists more than 1000000 levels" in err
 
     @pytest.mark.parametrize("flag", [
         ["--x-max", "inf"],
