@@ -8,12 +8,12 @@ Prints three tables and one row, each the best of --repeats runs:
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
    points.
-2. Multi-level sweeps.  P_n by the Chebyshev series summed on the vector
-   of levels (quadrature.tunneling_exact_values), next to one call of
-   the O(n) tail sum per level (quadrature.tunneling_exact), which is
-   timed only where the levels sum to at most LOOP_STEPS (5..612 sums
-   to 187,568; 1..10^6 to 5e11, about a day of work); F_n by its
-   Chebyshev series (asymptotics.big_f_n_values).
+2. Multi-level sweeps.  P_n by one pass of the Chebyshev series on the
+   vector of levels (quadrature._tunneling_arrays, which builds no
+   result objects), next to one tunneling_exact call per level, which is
+   timed only on sweeps of at most LOOP_LEVELS levels; the last P_n row
+   is the one level n = 10^6 both ways.  F_n by its Chebyshev series
+   (asymptotics.big_f_n_values).
 3. Two CLI calls made in process, fn --n-range 105:203 and
    compare --n-range 513:612, each writing its CSV into a temporary
    directory, split into parts: building the parser uncached
@@ -39,8 +39,9 @@ import numpy as np
 
 from osctun import _kernels, analysis, asymptotics, cli, quadrature
 
-# The one-level loop is timed on sweeps whose levels sum to at most this.
-LOOP_STEPS = 10 ** 7
+# One tunneling_exact call costs about the same at any level, so the loop
+# of one call per level is timed on sweeps of at most this many levels.
+LOOP_LEVELS = 10 ** 4
 
 
 def best_of(repeats, fn, *args):
@@ -79,10 +80,11 @@ def sweep_table(repeats):
         ("P_n 513..612", range(513, 613)),
         ("P_n 5..612", range(5, 613)),
         ("P_n 1..10^6", range(1, 10 ** 6 + 1)),
+        ("P_n 10^6 alone", range(10 ** 6, 10 ** 6 + 1)),
     ]
     for name, ns in sweeps:
-        t_series = best_of(repeats, quadrature.tunneling_exact_values, ns)
-        if sum(ns) <= LOOP_STEPS:
+        t_series = best_of(repeats, quadrature._tunneling_arrays, list(ns))
+        if len(ns) <= LOOP_LEVELS:
             loop = "%12.3f" % (1e3 * best_of(repeats, _loop, ns))
         else:
             loop = "%12s" % "-"

@@ -15,10 +15,6 @@ Kernels:
                               series near e = x - 1 = 0, direct form elsewhere
 - chebyshev_of_s(c, s):       sum of c_k T_k(2s/S_MAX - 1) on an s array by
                               Clenshaw's recurrence; the P_n and F_n series
-- hermite_tail_sum(n, x):     sum of psi_k psi_{k-1} / sqrt(2k) over k <= n
-                              and psi_n at one x beyond the turning point; a
-                              plain Python scalar loop, O(n), behind the
-                              one-level quadrature.tunneling_exact
 """
 
 import math
@@ -43,14 +39,9 @@ S_MAX = 3.0 ** (-2.0 / 3.0)
 _RESCALE_HI = 2.0 ** 600
 _RESCALE_LO = 2.0 ** -600
 
-# the tail sum multiplies two mantissas and adds n such products, so its
-# mantissas renormalize at 2^256 instead
-_SUM_RESCALE_BITS = 256
-_SUM_RESCALE_HI = 2.0 ** _SUM_RESCALE_BITS
-_SUM_RESCALE_LO = 2.0 ** -_SUM_RESCALE_BITS
-
-# ln 2 in two parts for the Cody-Waite reduction in psi0_scaled: LN2_HI is
-# ln 2 rounded to double, LN2_LO the remainder; pi^(-1/4) rounded to double
+# ln 2 in two parts for the Cody-Waite reduction of the psi_0 seed in
+# hermite_values: LN2_HI is ln 2 rounded to double, LN2_LO the remainder;
+# pi^(-1/4) rounded to double
 LN2_HI = 0.6931471805599453
 LN2_LO = 2.3190468138462996e-17
 PI_M14 = 0.7511255444649425
@@ -217,7 +208,7 @@ def g_of_e(e):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev series and the telescoping tail sum
+# Chebyshev series
 
 def chebyshev_of_s(coeffs, s):
     """sum_k coeffs[k] T_k(2s/S_MAX - 1) on an array s, by Clenshaw's
@@ -229,50 +220,6 @@ def chebyshev_of_s(coeffs, s):
     for c in coeffs[:0:-1]:
         b1, b2 = c + x2 * b1 - b2, b1
     return coeffs[0] + x * b1 - b2
-
-
-def psi0_scaled(x):
-    """(m, e) with psi_0(x) = m * 2^e to a few ulp, for any float x.
-
-    x^2 = p + q exactly (two_prod) and p/2 is exact, so the rounding of x^2
-    costs nothing; exp(-p/2) is reduced by k ln 2 with ln 2 carried in two
-    parts (Cody-Waite), so a large exponent costs nothing either.
-    """
-    p, q = two_prod(x, x)
-    h = 0.5 * p
-    k = round(h * INV_LN2)
-    kl, kl_err = two_prod(float(k), LN2_HI)
-    y = ((kl - h) + kl_err) + (k * LN2_LO - 0.5 * q)
-    return PI_M14 * math.exp(y), -k
-
-
-def hermite_tail_sum(n, x):
-    """(S, psi_n(x)) with S = sum_{k=1..n} psi_k(x) psi_{k-1}(x) / sqrt(2k).
-
-    One scalar pass of the normalized recurrence, written with
-    t_k = sqrt(k/2) as psi_k = (x psi_{k-1} - t_{k-1} psi_{k-2}) / t_k so
-    each step rounds one square root of an exact half-integer.  Meant for
-    x from about sqrt(2n+1) outward, beyond the largest zero of psi_n:
-    there every psi_k with k <= n is positive, so no term cancels, and the
-    recurrence follows its growing solution.  The mantissas carry a
-    power-of-2 offset, and S is kept in the squared scale, so nothing
-    overflows.
-    """
-    m1, ioff = psi0_scaled(x)
-    m0 = t0 = s = 0.0
-    sqrt = math.sqrt
-    hi, lo, lo2 = _SUM_RESCALE_HI, _SUM_RESCALE_LO, _SUM_RESCALE_LO ** 2
-    for k in range(1, n + 1):
-        t1 = sqrt(0.5 * k)
-        m0, m1 = m1, (x * m1 - t0 * m0) / t1
-        s += m1 * m0 / t1          # 2 psi_k psi_{k-1} / sqrt(2k), scaled
-        t0 = t1
-        if m1 > hi:
-            m0 *= lo
-            m1 *= lo
-            s *= lo2
-            ioff += _SUM_RESCALE_BITS
-    return math.ldexp(0.5 * s, 2 * ioff), math.ldexp(m1, ioff)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +234,10 @@ def hermite_values(n, x):
     to 0, the correct answer there).
     """
     x = np.asarray(x, dtype=np.float64)
-    # psi_0 seeded as in psi0_scaled, elementwise
+    # psi_0 = pi^(-1/4) exp(-x^2/2) as m * 2^-k: x^2 = p + q exactly
+    # (two_prod) and p/2 is exact, and exp(-p/2) is reduced by k ln 2 with
+    # ln 2 in two parts (Cody-Waite), so the seed is good to a few ulp at
+    # any x, even where exp(-x^2/2) underflows.
     p, q = two_prod(x, x)
     h = 0.5 * p
     k = np.rint(h * INV_LN2)

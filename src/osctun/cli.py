@@ -7,7 +7,8 @@ output.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
 Output is computed first, then staged in a temporary file beside --out
 (and the gnuplot script's); the targets are replaced only once every file
 is staged, so a failed run leaves no partial file and leaves existing
-files untouched.
+files untouched.  A target that exists and is not a regular file (a
+device, FIFO or socket) is written in place instead of replaced.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from . import analysis, quadrature
+from . import analysis, quadrature, specfun
 from .asymptotics import leading_term, second_order
 from .quadrature import QuadratureConfig
 
@@ -82,10 +83,7 @@ def _csv(columns, rows):
 
 
 def _check_fits_double(n):
-    # Every level-taking route works with nu^2 = 2n + 1 as a double.
-    try:
-        float(2 * n + 1)
-    except OverflowError:
+    if n > specfun._MAX_LEVEL:
         raise argparse.ArgumentTypeError(
             "level too large: 2n+1 must fit a double")
 
@@ -215,13 +213,23 @@ def _cmd_fig(args):
     return _csv(data.columns, data.rows)
 
 
-def _open_temp(target):
-    """A new file beside target, with the mode open(target, "w") gives.
+def _open_temp(path):
+    """(file, temp path, target) for staging the text of path.
 
-    Raises IsADirectoryError, as open would, when target is a directory.
+    target is the file path names, with a symlink resolved.  The new file
+    sits beside it, with the mode open(target, "w") gives.  A target that
+    exists and is not a regular file (a device, FIFO or socket) cannot be
+    replaced without destroying it, so it is written in place later: then
+    the file and temp path are None.  Raises IsADirectoryError, as open
+    would, when target is a directory.
     """
+    target = path
     try:
-        st = os.stat(target)
+        st = os.lstat(path)
+        if stat.S_ISLNK(st.st_mode):
+            # Replace the file a symlink points to, not the link itself.
+            target = os.path.realpath(path)
+            st = os.stat(target)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
@@ -229,11 +237,13 @@ def _open_temp(target):
     else:
         if stat.S_ISDIR(st.st_mode):
             raise IsADirectoryError("is a directory")
+        if not stat.S_ISREG(st.st_mode):
+            return None, None, target
         mode = stat.S_IMODE(st.st_mode)
     fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(target) + ".",
                                suffix=".tmp", dir=os.path.dirname(target))
     os.fchmod(fd, mode)
-    return os.fdopen(fd, "w", newline=""), tmp
+    return os.fdopen(fd, "w", newline=""), tmp, target
 
 
 def _run(args):
@@ -257,27 +267,31 @@ def _run(args):
     staged = []
     try:
         for path, body in files:
-            # Replace the file a symlink points to, not the link itself.
-            target = os.path.realpath(path)
             try:
-                fh, tmp = _open_temp(target)
+                fh, tmp, target = _open_temp(path)
             except OSError as exc:
                 print("cannot open %s: %s" % (path, exc), file=sys.stderr)
                 return 2
-            staged.append((tmp, target, path))
-            with fh:
-                fh.write(body)
+            staged.append((tmp, target, path, body))
+            if fh is not None:
+                with fh:
+                    fh.write(body)
         while staged:
-            tmp, target, path = staged[0]
+            tmp, target, path, body = staged[0]
             try:
-                os.replace(tmp, target)
+                if tmp is None:
+                    with open(target, "w", newline="") as fh:
+                        fh.write(body)
+                else:
+                    os.replace(tmp, target)
             except OSError as exc:
                 print("cannot write %s: %s" % (path, exc), file=sys.stderr)
                 return 2
             staged.pop(0)
     finally:
-        for tmp, _, _ in staged:
-            os.unlink(tmp)
+        for tmp, _, _, _ in staged:
+            if tmp is not None:
+                os.unlink(tmp)
     return code
 
 

@@ -10,7 +10,7 @@ The tunneling probability of oscillator level n is
 
     P_n = 2 * integral of psi_n(x)^2 from nu = sqrt(2n+1) to infinity,
 
-and neither route below runs quadrature.  The ladder relation
+and it is computed without quadrature.  The ladder relation
 psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1} and the three-term
 recurrence (DLMF 18.9) give
 
@@ -22,21 +22,15 @@ and
 
     P_n = erfc(nu) + 2 * sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k).
 
-tunneling_exact(n) sums this with one O(n) pass of the normalized
-recurrence at x = nu (_kernels.hermite_tail_sum).  nu lies beyond the
-largest zero of every psi_k with k <= n, so every term is positive and
-nothing cancels, and at a fixed x beyond the turning point the forward
-recurrence in k follows its growing solution, which makes it stable (Gil,
-Segura and Temme, Numerical Methods for Special Functions, ch. 4).
-
 The same identity holds at real order, so P is a function of the real
 level, and G(s) = s^(-1/2) P with s = (2n+1)^(-2/3) is analytic on
 [0, 3^(-2/3)].  _tunneling_arrays sums a 21-term Chebyshev series of G,
 with coefficients frozen by tools/gen_p_series.py, on the vector of s:
-O(1) a level, and within 1.4 eps of 50-digit references.  Every CLI P_n
-takes its arrays; tunneling_exact_values wraps them in results.  The
-adaptive engine stays in the tests as the independent check of both routes
-and of the F_n series in asymptotics.big_f_n; no production route runs it.
+O(1) a level, and within 1.4 eps of 50-digit references.  It is the one
+route for P_n: every CLI P_n takes its arrays, tunneling_exact_values wraps
+them in results, and tunneling_exact is its one-level case.  The adaptive
+engine stays in the tests as an independent check of the series and of the
+F_n series in asymptotics.big_f_n; no production route runs it.
 """
 
 import math
@@ -359,57 +353,24 @@ def integrate_semi_infinite(f, a, config=None, breakpoints=None):
 
 
 def tunneling_exact(n, config=None):
-    """P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1), by the O(n) tail sum.
+    """P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1), for one level.
 
     Parameters
     ----------
     n : int
-        Quantum number, n >= 0.
+        Quantum number, n >= 0, with 2n+1 below the largest double.
     config : QuadratureConfig, optional
-        Unused: the value comes from a closed-form sum, not from quadrature.
-        It is still accepted because perfbench's pn_points workload passes
-        one positionally.
+        Unused: the value comes from the Chebyshev series, not from
+        quadrature.  It is still accepted because perfbench's pn_points
+        workload passes one positionally.
 
     Returns
     -------
     TunnelingResult
-        method "exact"; value in (0, 1).
-
-    Notes
-    -----
-    This is the one-level route of the telescoping sum in the module
-    docstring, n steps of a CPython loop; tunneling_exact_values, the
-    O(1) Chebyshev series, is the route every CLI sweep takes.  The two
-    agree within the sum of their err_estimates, not bit for bit.  This
-    one stays the sum until perfbench's pn_points workload, which calls
-    it, can time microsecond calls (ROADMAP item 1).
-
-    The sum is evaluated at the double nu that rounds sqrt(2n+1), with
-    psi_0 taken at that same double so that every term belongs to one
-    function of a.  The rounding of nu alone moves P by up to
-    psi_n^2 ulp(nu), which is 3e-14 of P_n at n = 1000 and grows like
-    n^(2/3) eps.  To first order the shift is
-    -dP/da * (nu - sqrt(2n+1)) = 2 psi_n^2 * r / (2 nu), where
-    r = nu^2 - (2n+1) is formed exactly with two_prod, and that term is
-    added back.  What remains is rounding in the n recurrence steps and the
-    sum, which grows about linearly in n, so err_estimate = 2 (n + 4) eps P_n.
-    Against 50-digit references at n = 0..1000 the true error stays below
-    a quarter of that.
+        method "exact"; value in (0, 1); the bits of
+        tunneling_exact_values([n])[0], whose series costs O(1) at any n.
     """
-    state = specfun.OscillatorState.from_n(n)
-    tail, psi_n = _kernels.hermite_tail_sum(state.n, state.nu)
-    return _exact_result(state, tail, psi_n)
-
-
-def _exact_result(state, tail, psi_n):
-    """P_n from the tail sum at nu, with the nu-rounding correction and
-    err_estimate of tunneling_exact."""
-    n, nu = state.n, state.nu
-    nu2, nu2_err = _kernels.two_prod(nu, nu)
-    r = (nu2 - (2.0 * n + 1.0)) + nu2_err
-    value = math.erfc(nu) + 2.0 * tail + psi_n * psi_n * r / nu
-    return TunnelingResult(n=n, value=value, method="exact",
-                           err_estimate=2.0 * (n + 4) * _EPS * value)
+    return tunneling_exact_values([n])[0]
 
 
 def tunneling_exact_values(ns):

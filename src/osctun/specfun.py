@@ -76,12 +76,20 @@ def _check_n(n):
         raise ValueError("n must be nonnegative, got %d" % n)
 
 
-def _check_levels(ns, lowest=0, check=_check_n):
-    """The levels ns as a list, once check has passed each of them.
+# The largest level whose 2n+1 fits a double: from 2^1023 - 2^969 on,
+# 2n+1 rounds past the largest double (ties go to even, here infinity).
+# Every level-taking route forms nu^2 = 2n+1 as a double.
+_MAX_LEVEL = 2 ** 1023 - 2 ** 969 - 1
 
-    Integer levels (not bools) are checked by one min(); any other type,
-    or a level below lowest, takes check level by level, which raises on
-    the first bad level.
+
+def _check_levels(ns, lowest=0, check=_check_n):
+    """The levels ns as a list, once check has passed each of them and
+    each 2n+1 fits a double.
+
+    Integer levels (not bools) are checked by one min() and one max(); any
+    other type, or a level below lowest, takes check level by level, which
+    raises on the first bad level.  A level whose 2n+1 overflows a double
+    raises ValueError once every level has passed check.
     """
     levels = list(ns)
     types = set(map(type, levels))
@@ -90,6 +98,8 @@ def _check_levels(ns, lowest=0, check=_check_n):
             or (levels and min(levels) < lowest)):
         for n in levels:
             check(n)
+    if levels and max(levels) > _MAX_LEVEL:
+        raise ValueError("level too large: 2n+1 must fit a double")
     return levels
 
 

@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction as Fr
 
 import mpmath
@@ -457,8 +458,27 @@ class TestFnSweep:
         assert [float(v) for v in big_f_n_values(mixed)] == want
         arr = np.arange(6, 501)
         assert list(big_f_n_values(arr)) == list(big_f_n_values(range(6, 501)))
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
             big_f_n_values([6, 10 ** 400])
+
+    @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1023 - 2 ** 969, 10 ** 400],
+                             ids=["2^1023", "2^1023-2^969", "10^400"])
+    def test_rejects_levels_past_a_double(self, n, monkeypatch):
+        # 2n+1 rounds past the largest double from 2^1023 - 2^969 on; such
+        # a level is refused before any F_n is computed.
+        def must_not_run(*args):
+            raise AssertionError("no level may be computed")
+
+        monkeypatch.setattr(asymptotics, "_big_f_of_s", must_not_run)
+        for route in (big_f_n, lambda n: big_f_n_values([6, n, 7])):
+            with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
+                route(n)
+
+    def test_largest_level_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = big_f_n(2 ** 1023 - 2 ** 969 - 1)
+        assert got == big_f_n(10 ** 300)
 
     def test_memory_peak(self):
         ns = range(6, 501)

@@ -5,8 +5,10 @@ import hashlib
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -419,6 +421,30 @@ class TestOutputPlumbing:
         capsys.readouterr()
         assert link.is_symlink()
         assert real.read_text().startswith("n,p_exact,err_estimate\n")
+
+    @pytest.mark.parametrize("through_link", [False, True],
+                             ids=["fifo", "symlink-to-fifo"])
+    def test_fifo_is_written_in_place(self, tmp_path, capsys, through_link):
+        # A device, FIFO or socket cannot be replaced without destroying it,
+        # so the text goes through it, and the node stays what it was.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        out = fifo
+        if through_link:
+            out = tmp_path / "link"
+            out.symlink_to(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        code = main(["exact", "--n-range", "0:3", "--out", str(out)])
+        reader.join(10)
+        _, want, _ = run_cli(capsys, ["exact", "--n-range", "0:3"])
+        assert code == 0
+        assert got == [want]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert out.is_symlink() == through_link
+        assert sorted(os.listdir(tmp_path)) == sorted({"pipe", out.name})
 
     def test_no_temp_file_while_computing(self, tmp_path, capsys,
                                           monkeypatch):

@@ -1,9 +1,11 @@
-"""The kernels match independent evaluations: mpmath, direct recurrences
-and numpy's Chebyshev sum."""
+"""The kernels, and the tests' own scalar tail sum (tail_sum.py), match
+independent evaluations: mpmath, direct recurrences and numpy's Chebyshev
+sum."""
 
 import numpy as np
 import pytest
 
+import tail_sum
 from osctun import _kernels
 
 
@@ -21,7 +23,7 @@ def test_inversion_converges_just_above_series_seam():
 def test_psi0_scaled_against_mpmath(x):
     # Far past x ~ 38.6, where exp(-x^2/2) itself underflows.
     import mpmath
-    m, e = _kernels.psi0_scaled(x)
+    m, e = tail_sum.psi0_scaled(x)
     with mpmath.workdps(40):
         want = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-mpmath.mpf(x) ** 2 / 2)
         assert abs(mpmath.ldexp(m, e) / want - 1) <= 4 * np.finfo(float).eps
@@ -51,7 +53,7 @@ def test_hermite_values_against_mpmath(n):
 @pytest.mark.parametrize("n", [0, 1, 40, 200])
 def test_tail_sum_matches_recurrence(n):
     nu = np.sqrt(2.0 * n + 1.0)
-    s, psi_n = _kernels.hermite_tail_sum(n, nu)
+    s, psi_n = tail_sum.hermite_tail_sum(n, nu)
     psi = np.array([_kernels.hermite_values(k, np.array([nu]))[0]
                     for k in range(n + 1)])
     want = float(np.sum(psi[1:] * psi[:-1] / np.sqrt(2.0 * np.arange(1, n + 1))))

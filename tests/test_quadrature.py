@@ -1,20 +1,22 @@
 """Adaptive engine against closed forms and independent oracles.
 
-The exact P_n comes from a Chebyshev series in s = (2n+1)^(-2/3) for
-sweeps and from the O(n) telescoping sum for one level, not from
-quadrature; 50-digit mpmath sums and the adaptive engine are their
-independent oracles here.
+The exact P_n comes from one Chebyshev series in s = (2n+1)^(-2/3), for
+one level and for sweeps alike, not from quadrature.  Its independent
+oracles here are 50-digit mpmath sums, the O(n) telescoping sum in double
+precision (tail_sum.py) and the adaptive engine.
 """
 
 import math
 import random
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tail_sum
 from osctun import _kernels, quadrature, specfun
 from osctun.quadrature import (DEFAULT_CONFIG, NonConvergenceError,
                                QuadratureConfig, TruncationFailureError,
@@ -138,11 +140,11 @@ class TestSemiInfinite:
 
     def test_strategies_agree_on_tunneling(self):
         # Both semi-infinite routes, as oracles, agree with the closed-form
-        # P_n within the combined error estimates.
+        # telescoping sum within the combined error estimates.
         for strat in ("truncation", "substitution"):
             cfg = QuadratureConfig(semi_infinite_strategy=strat)
             for n in (0, 5, 50, 300, 612, 1000):
-                r = tunneling_exact(n)
+                r = tail_sum.tunneling_sum(n)
                 q, q_err = quad_tunneling(n, cfg)
                 assert abs(r.value - q) <= r.err_estimate + q_err, (strat, n)
 
@@ -183,7 +185,7 @@ class TestTunneling:
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_low_levels_against_mpmath(self, n, mp_p):
         want = mp_tunneling(n)
-        for r in (tunneling_exact(n), tunneling_exact_values([n])[0]):
+        for r in (tunneling_exact(n), tail_sum.tunneling_sum(n)):
             assert abs(r.value - want) <= r.err_estimate
         # The 50-digit reference of the spot checks agrees with quadrature.
         assert abs(mp_p(n) - want) < 1e-25
@@ -343,8 +345,47 @@ class TestTunnelingSeries:
     @given(n=st.integers(min_value=1, max_value=5000))
     def test_agrees_with_the_tail_sum(self, n):
         (r,) = tunneling_exact_values([n])
-        one = tunneling_exact(n)
+        one = tail_sum.tunneling_sum(n)
         assert abs(r.value - one.value) <= r.err_estimate + one.err_estimate
+
+
+class TestOneLevel:
+    """tunneling_exact(n) is the one-level case of the series pass."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(min_value=0, max_value=10 ** 15))
+    def test_bits_of_the_sweep(self, n):
+        assert tunneling_exact(n) == tunneling_exact_values([n])[0]
+
+    def test_bound_against_stored_sums(self):
+        for n, text in STORED_P.items():
+            r = tunneling_exact(n)
+            assert abs(r.value - mpmath.mpf(text)) <= r.err_estimate, n
+
+    def test_huge_level_within_its_bound(self):
+        r = tunneling_exact(10 ** 12)
+        assert math.isfinite(r.value) and r.value > 0.0
+        assert abs(r.value - mp_p_asymptotic(10 ** 12)) <= r.err_estimate
+
+    @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1023 - 2 ** 969, 10 ** 400],
+                             ids=["2^1023", "2^1023-2^969", "10^400"])
+    @pytest.mark.parametrize("route", [
+        tunneling_exact, lambda n: tunneling_exact_values([1, n, 2])],
+        ids=["one-level", "sweep"])
+    def test_rejects_levels_past_a_double(self, n, route, monkeypatch):
+        # 2n+1 rounds past the largest double from 2^1023 - 2^969 on; such
+        # a level is refused before any P_n is computed.
+        monkeypatch.setattr(quadrature, "_tunneling_arrays", _must_not_run)
+        with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
+            route(n)
+
+    def test_largest_level_within_its_bound(self):
+        n = 2 ** 1023 - 2 ** 969 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = tunneling_exact(n)
+        assert abs(r.value - mp_p_asymptotic(n)) <= r.err_estimate
 
 
 class TestLadderIdentity:
