@@ -14,12 +14,12 @@ sqrt(2n) (psi_{n-1}^2 - psi_n^2) the tail integral telescopes to
 
 and the identity holds at real order too, so P_n / sqrt(s) is a smooth
 function of s = (2n+1)^(-2/3).  tunneling_exact_values sums a 21-term
-Chebyshev series in s with frozen coefficients (tools/gen_p_series.py):
+Chebyshev series in s with frozen coefficients (tools/gen_series.py):
 O(1) at any level, err_estimate 4 eps P_n.  It is the one route for P_n:
 tunneling_exact(n) is its one-level case (see osctun.quadrature), and the
 O(n) sum itself is kept only in the tests.  The Airy-weighted integrals
-F_n also depend on n only through s and come from an 18-term Chebyshev
-series (see osctun.asymptotics.big_f_n).  Sweeps over n
+F_n also depend on n only through s, from the same cube root of 2n+1, and
+come from an 18-term series frozen by the same tool.  Sweeps over n
 (tunneling_exact_values, big_f_n_values) run in one vector pass and
 return the bits of one call per level.  Adaptive Gauss-Kronrod
 quadrature checks both in the tests; no production route runs it.

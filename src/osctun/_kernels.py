@@ -14,7 +14,7 @@ Kernels:
 - zeta_from_e(e), f_from_e(e): forward turning-point map and its f ratio,
                               series near e = x - 1 = 0, direct form elsewhere
 - chebyshev_of_s(c, s):       sum of c_k T_k(2s/S_MAX - 1) on an s array by
-                              Clenshaw's recurrence; the P_n and F_n series
+                              Clenshaw; the two series of tools/gen_series.py
 """
 
 import math

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels, quadrature, specfun
-from .asymptotics import (C1, C2, F_INFINITY, big_f_n_values, f_of_x,
-                          zeta_of_x_values)
+from .asymptotics import (F_INFINITY, _asymptotic_terms, big_f_n_values,
+                          f_of_x, zeta_of_x_values)
 
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
@@ -69,21 +69,17 @@ def comparison_table(n_values):
     p_leading and p_second have the bits of leading_term and second_order;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     """
-    ns = [int(n) for n in n_values]
+    ns = [int(n) for n in specfun._check_levels(n_values)]
     if ns and min(ns) < 1:
         raise ValueError("comparison requires n >= 1, got %d" % min(ns))
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
     rows = []
-    # Python's pow, as in leading_term: numpy's vector power differs from
-    # it in the last bit at about one level in twenty.
     for n, p in zip(ns, quadrature._tunneling_arrays(ns)[0].tolist()):
-        x = float(n)
-        lead = C1 * x ** (-1.0 / 3.0)
-        sec = lead - C2 / x
+        lead, sec = _asymptotic_terms(n)
         err_sec = abs(p - sec)
         rows.append((n, p, lead, sec, abs(p - lead), err_sec,
-                     err_sec * x ** (4.0 / 3.0)))
+                     err_sec * float(n) ** (4.0 / 3.0)))
     return _COMPARISON_COLUMNS, rows
 
 
@@ -129,7 +125,7 @@ def ratio_table(n_values):
 def ratio_sweep(n_min, n_max):
     """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max: the rows of
     ratio_table."""
-    n_min, n_max = int(n_min), int(n_max)
+    specfun._check_levels([n_min, n_max])
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
     return ratio_table(range(n_min, n_max + 1))[1]
@@ -168,6 +164,8 @@ def figure_dataset(figure_id):
        tunneling-probability curve; 2: comparison table n=5..612;
     3: the (x, zeta) map; 4: ratio sweep n=6..500; 5: comparison n=513..612.
     """
+    if type(figure_id) is bool or not isinstance(figure_id, (int, np.integer)):
+        raise TypeError("figure id must be an integer, got %r" % (figure_id,))
     figure_id = int(figure_id)
     build = {1: _figure_one, 3: _figure_three,
              2: lambda: comparison_table(range(5, 613)),

@@ -8,7 +8,8 @@ eigenfunction uniformly for x >= 1:
 
 with nu = sqrt(2n+1) and an explicit relative error bound.  Feeding this into
 the tail integral gives the leading term C1 n^(-1/3) for the tunneling
-probability and the second-order correction -C2/n.
+probability and the second-order correction -C2/n.  F_n's Chebyshev series
+in s = (2n+1)^(-2/3) is frozen by tools/gen_series.py.
 """
 
 import math
@@ -41,7 +42,7 @@ F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 # over (0, 3^(-2/3)] for n >= 1, and F(s) is smooth on [0, 3^(-2/3)] with
 # F(0) = F_INFINITY.  F(s) = sum_k c_k T_k(2s/3^(-2/3) - 1); |c_k| falls
 # about tenfold per degree and the first dropped one, c_18, is 2e-20.
-# Written verbatim by tools/gen_f_series.py from 30-digit mpmath samples
+# Written verbatim by tools/gen_series.py from 30-digit mpmath samples
 # at 24 Chebyshev points; do not edit by hand.
 _BIG_F_CHEBYSHEV = (
     0.04089054596539395,
@@ -158,12 +159,12 @@ def f_of_x_values(x):
 
 def f_n(n, t):
     """f evaluated at the x corresponding to zeta = nu^(-4/3) t."""
-    specfun._check_n(n)
+    levels = specfun._check_levels([n])
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
-    scale = (2.0 * n + 1.0) ** (-2.0 / 3.0)
-    e, ok = _kernels.invert_zeta_values(np.array([scale * t]))
+    nu23 = specfun._nu23_of_levels(levels)
+    e, ok = _kernels.invert_zeta_values(1.0 / (nu23 * nu23) * t)
     if not ok:
         raise IterationLimitError("inversion stalled at t=%g" % t)
     return float(_kernels.f_from_e(e)[0])
@@ -176,11 +177,6 @@ def _check_order(n):
     return int(n)
 
 
-def _big_f_of_s(s):
-    """F(s) on an array of s in [0, 3^(-2/3)], by Clenshaw's recurrence."""
-    return _kernels.chebyshev_of_s(_BIG_F_CHEBYSHEV, s)
-
-
 def big_f_n(n):
     """The Airy-weighted integral F_n = int_0^inf f_n(t) Ai(t)^2 dt.
 
@@ -188,7 +184,7 @@ def big_f_n(n):
 
     F_n depends on n only through s = (2n+1)^(-2/3), and is summed from an
     18-term Chebyshev series in s with frozen coefficients (see
-    tools/gen_f_series.py).  This is the one-level case of big_f_n_values.
+    tools/gen_series.py).  This is the one-level case of big_f_n_values.
     Against 30-digit mpmath the error stays within 4 eps F_n from n = 1 to
     10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
     """
@@ -202,8 +198,16 @@ def big_f_n_values(ns):
     once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
     levels = specfun._check_levels(ns, 1, _check_order)
-    nu2 = 2.0 * np.array(levels, dtype=np.float64) + 1.0
-    return _big_f_of_s(nu2 ** (-2.0 / 3.0))
+    nu23 = specfun._nu23_of_levels(levels)
+    return _kernels.chebyshev_of_s(_BIG_F_CHEBYSHEV, 1.0 / (nu23 * nu23))
+
+
+def _asymptotic_terms(n):
+    """C1 n^(-1/3) and C1 n^(-1/3) - C2/n, the one formula for both, with
+    Python's pow: numpy's vector power differs in the last bit at some n."""
+    x = float(n)
+    lead = C1 * x ** (-1.0 / 3.0)
+    return lead, lead - C2 / x
 
 
 def leading_term(n):
@@ -214,7 +218,7 @@ def leading_term(n):
     under-claims, since the next term has the same sign as the first.
     """
     n = _check_order(n)
-    value = C1 * float(n) ** (-1.0 / 3.0)
+    value = _asymptotic_terms(n)[0]
     return TunnelingResult(n=n, value=value, method="leading",
                            err_estimate=C2 / n + C1 * float(n) ** (-4.0 / 3.0))
 
@@ -225,7 +229,7 @@ def second_order(n):
     err_estimate scales as the next omitted order n^(-4/3).
     """
     n = _check_order(n)
-    value = C1 * float(n) ** (-1.0 / 3.0) - C2 / float(n)
+    value = _asymptotic_terms(n)[1]
     return TunnelingResult(n=n, value=value, method="second-order",
                            err_estimate=C1 * float(n) ** (-4.0 / 3.0))
 
@@ -245,7 +249,8 @@ def olver_approx(n, x):
     log_cn = (0.5 * math.log(2.0 * math.pi) - 0.25 * nu2
               + (3.0 * nu2 - 1.0) / 12.0 * math.log(nu2))
     log_pref = log_cn + 0.25 * math.log(fq)
-    t = nu2 ** (2.0 / 3.0) * zp.zeta
+    nu23 = float(specfun._nu23_of_levels(specfun._check_levels([n]))[0])
+    t = nu23 * nu23 * zp.zeta
     av = specfun.airy_ai(t)
     if av.value > 0.0:
         rhs = math.exp(log_pref + math.log(av.value))

@@ -21,8 +21,7 @@ import tempfile
 
 import numpy as np
 
-from . import analysis, quadrature, specfun
-from .asymptotics import leading_term, second_order
+from . import analysis, asymptotics, quadrature, specfun
 from .quadrature import QuadratureConfig
 
 __all__ = ["main", "entry"]
@@ -139,8 +138,8 @@ def _cmd_exact(args):
 def _cmd_asympt(args):
     if args.levels[0] < 1:
         raise _UsageError("asympt requires n >= 1 (the formula diverges at 0)")
-    term = leading_term if args.order == 1 else second_order
-    rows = [(n, term(n).value) for n in args.levels]
+    terms = asymptotics._asymptotic_terms
+    rows = [(n, terms(n)[args.order - 1]) for n in args.levels]
     return _csv(("n", "p_asympt"), rows)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osctun import analysis, quadrature
+from osctun import _kernels, analysis, quadrature
 from osctun.asymptotics import (F_INFINITY, big_f_n, f_of_x, leading_term,
                                 second_order, zeta_of_x)
 from osctun.quadrature import QuadratureConfig, integrate_finite
@@ -80,6 +80,43 @@ class TestCompareSweep:
             want = (n, p, lead, sec, abs(p - lead), err_sec,
                     err_sec * float(n) ** (4.0 / 3.0))
             assert list(map(repr, row)) == list(map(repr, want))
+
+
+class TestIntegerLevels:
+    """Every analysis entry point refuses a level, bound or figure id that
+    is not an integer, or is a bool, before any P_n or F_n is computed."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_series(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("no level may be computed")
+
+        monkeypatch.setattr(quadrature, "_tunneling_arrays", must_not_run)
+        monkeypatch.setattr(_kernels, "chebyshev_of_s", must_not_run)
+
+    @pytest.mark.parametrize("levels, text", [
+        ([5.7], "n must be an integer, got 5.7"),
+        (["7"], "n must be an integer, got '7'"),
+        ([True], "n must be an integer, got True"),
+        ([5, np.bool_(True)], "n must be an integer, got "),
+    ])
+    def test_comparison_table(self, levels, text):
+        with pytest.raises(TypeError) as info:
+            analysis.comparison_table(levels)
+        assert str(info.value).startswith(text)
+        with pytest.raises(TypeError):
+            analysis.compare_sweep(levels)
+
+    @pytest.mark.parametrize("bounds", [("3", 4), (3, 4.9), (True, 4),
+                                        (3, np.bool_(True)), (3.0, 4)])
+    def test_ratio_sweep(self, bounds):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            analysis.ratio_sweep(*bounds)
+
+    @pytest.mark.parametrize("figure_id", [2.7, "2", True, 5.0])
+    def test_figure_dataset(self, figure_id):
+        with pytest.raises(TypeError, match="figure id must be an integer"):
+            analysis.figure_dataset(figure_id)
 
 
 class TestLemmaCheck:

@@ -252,6 +252,15 @@ class TestScaledProfile:
         slope = (4.0 * f1 - f2 - 3.0 * f0) / (2.0 * h)
         assert abs(slope + 0.2) < 1e-3
 
+    @pytest.mark.parametrize("route", [lambda n: f_n(n, 1.0),
+                                       lambda n: olver_approx(n, 1.5)],
+                             ids=["f_n", "olver_approx"])
+    def test_rejects_levels_past_a_double(self, route):
+        # 2n+1 rounds past the largest double from 2^1023 - 2^969 on, where
+        # f_n used to return f(1) at every t.
+        with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
+            route(2 ** 1023 - 2 ** 969)
+
 
 def mp_big_f_n(n):
     """F_n at 30 digits by quadrature in x, with no inversion of the map.
@@ -428,7 +437,7 @@ class TestFnSweep:
         def must_not_run(*args):
             raise AssertionError("no level may be computed")
 
-        monkeypatch.setattr(asymptotics, "_big_f_of_s", must_not_run)
+        monkeypatch.setattr(_kernels, "chebyshev_of_s", must_not_run)
         with pytest.raises(ValueError):
             big_f_n_values(list(range(1, 40)) + [0])
         with pytest.raises(ValueError):
@@ -469,7 +478,7 @@ class TestFnSweep:
         def must_not_run(*args):
             raise AssertionError("no level may be computed")
 
-        monkeypatch.setattr(asymptotics, "_big_f_of_s", must_not_run)
+        monkeypatch.setattr(_kernels, "chebyshev_of_s", must_not_run)
         for route in (big_f_n, lambda n: big_f_n_values([6, n, 7])):
             with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
                 route(n)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from osctun import analysis, cli, quadrature
+from osctun.asymptotics import leading_term, second_order
 from osctun.cli import _build_parser, _fmt, main
 
 
@@ -72,6 +73,31 @@ class TestGoldenRows:
         code, out, _ = run_cli(capsys,
                                ["asympt", "--order", "1", "--n", "1000"])
         assert out.splitlines()[1].startswith("1000,0.0133974967")
+
+    @pytest.mark.parametrize("order, term", [(1, leading_term),
+                                             (2, second_order)])
+    @pytest.mark.parametrize("levels, ns", [
+        (["--n-range", "1:2000"], list(range(1, 2001))),
+        (["--n", str(10 ** 300)], [10 ** 300]),
+        (["--n", str(_FIRST_LEVEL_PAST_DOUBLE - 1)],
+         [_FIRST_LEVEL_PAST_DOUBLE - 1]),
+    ], ids=["1:2000", "1e300", "largest"])
+    def test_asympt_rows_are_the_library_values(self, capsys, monkeypatch,
+                                                order, term, levels, ns):
+        # The rows, before formatting, carry the bits of leading_term and
+        # second_order: both take their values from one formula.
+        seen = []
+
+        def keep(columns, rows):
+            seen.extend(rows)
+            return ""
+
+        monkeypatch.setattr(cli, "_csv", keep)
+        code, _, _ = run_cli(capsys, ["asympt", "--order", str(order)]
+                             + levels)
+        assert code == 0
+        assert [(n, repr(v)) for n, v in seen] == [
+            (n, repr(term(n).value)) for n in ns]
 
     def test_lemma_report(self, capsys):
         code, out, _ = run_cli(capsys, ["lemma"])

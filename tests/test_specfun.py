@@ -193,3 +193,25 @@ class TestOscillatorState:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             specfun.OscillatorState.from_n(-3)
+
+
+class TestOneSMap:
+    """Every route from a level to s = (2n+1)^(-2/3) takes nu^(2/3) from
+    specfun._nu23_of_levels, so no second map can give other bits."""
+
+    @pytest.mark.parametrize("route", [
+        lambda: osctun.tunneling_exact_values([5]),
+        lambda: osctun.big_f_n_values([5]),
+        lambda: osctun.f_n(5, 1.0),
+        lambda: osctun.olver_approx(5, 1.2),
+    ], ids=["tunneling_exact_values", "big_f_n_values", "f_n", "olver_approx"])
+    def test_routes_take_the_shared_cube_root(self, route, monkeypatch):
+        class Refused(Exception):
+            pass
+
+        def refuse(levels):
+            raise Refused
+
+        monkeypatch.setattr(specfun, "_nu23_of_levels", refuse)
+        with pytest.raises(Refused):
+            route()

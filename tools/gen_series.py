@@ -1,0 +1,213 @@
+"""Chebyshev coefficients of the P_n and F_n series in s = (2n+1)^(-2/3).
+
+Usage:
+    python3 tools/gen_series.py            # print both tuples
+    python3 tools/gen_series.py --check    # compare both with osctun
+
+Both series are functions of s = nu^(-4/3) = (2n+1)^(-2/3) on [0, 3^(-2/3)],
+where s = 3^(-2/3) is n = 1 and s -> 0 is n -> infinity.  Each is sampled at
+first-kind Chebyshev points of that interval, and the discrete cosine
+transform of the samples gives c_k in sum_k c_k T_k(2s/3^(-2/3) - 1).
+
+- P: G(s) = s^(-1/2) P at the real level N, 40 samples at 50 digits,
+  c_0..c_20 kept (c_21 is about 1.2e-19), frozen as
+  osctun.quadrature._P_CHEBYSHEV.  P_n = 2 int_nu^inf psi_n^2 holds at real
+  order with psi_N(x) = D_N(sqrt(2) x) / sqrt(Gamma(N+1) sqrt(pi)), D_N =
+  mpmath.pcfd (DLMF 12.2), and so does the telescoping identity of
+  osctun.quadrature, started from the fractional part N0 = N - floor(N):
+
+      P(N) = 2 I_N0(a) + 2 sum_{j=1..floor(N)} psi_{N0+j}(a) psi_{N0+j-1}(a)
+                                                / sqrt(2 (N0+j)),
+
+  a = sqrt(2N+1), I_N0(a) = int_a^inf psi_N0^2 by one mpmath quadrature,
+  and the forward recurrence, which follows its growing solution beyond the
+  turning point.  n = 0 lies outside the interval, at s = 1, and is
+  erfc(1) in osctun.
+- F: F(s) = int_0^inf f(x(s t)) Ai(t)^2 dt, 24 samples by 30-digit mpmath
+  quadrature in x, DCT at 40 digits, c_0..c_17 kept (c_18 is about 2e-20),
+  frozen as osctun.asymptotics._BIG_F_CHEBYSHEV.  With t = zeta(x)/s and
+  zeta'(x) = f(x)^(-1/2), F(s) = (1/s) int_1^inf sqrt(f(x)) Ai(zeta(x)/s)^2 dx
+  needs no inversion of the map.
+
+The interval ends differ, and each tuple needs its own: P's is 3^(-2/3)
+rounded to 53 bits (the double _kernels.S_MAX), F's is 3^(-2/3) at 40
+digits.  One end for both changes 18 of P's 21 coefficients in the last bits.
+
+The script checks the real-order sum against the independent 50-digit
+perfbench/references.PnReference, then prints both tuples as osctun holds
+them, and the dropped coefficients on stderr; --check compares them with
+osctun's instead and exits 1 on any difference.  It needs mpmath only and
+takes about two minutes, most of it in P's sample nearest s = 0 (n = 2e5).
+"""
+
+import argparse
+import importlib
+import os
+import sys
+import time
+from collections import namedtuple
+
+import mpmath
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+P_DPS = 50
+F_DPS = 30
+REFERENCE_LEVELS = (0, 1, 5, 37, 200)
+
+
+def psi(order, x):
+    """Real-order oscillator eigenfunction psi_order(x)."""
+    return mpmath.pcfd(order, mpmath.sqrt(2) * x) / mpmath.sqrt(
+        mpmath.gamma(order + 1) * mpmath.sqrt(mpmath.pi))
+
+
+def p_of_level(level):
+    """P at the real level N >= 0 by the real-order telescoping sum."""
+    with mpmath.workdps(P_DPS):
+        level = mpmath.mpf(level)
+        steps = int(mpmath.floor(level))
+        order0 = level - steps
+        a = mpmath.sqrt(2 * level + 1)
+        # psi_N0^2 falls like exp(-x^2) from a, over a width of about 1/a.
+        w = 1 / a
+        total = 2 * mpmath.quad(lambda x: psi(order0, x) ** 2,
+                                [a, a + w, a + 4 * w, a + 16 * w, mpmath.inf])
+        if steps == 0:
+            return total
+        x2 = mpmath.sqrt(2) * a
+        prev, cur = psi(order0, a), psi(order0 + 1, a)
+        root = mpmath.sqrt(order0 + 1)
+        total += mpmath.sqrt(2) * cur * prev / root
+        for j in range(2, steps + 1):
+            root_prev, root = root, mpmath.sqrt(order0 + j)
+            prev, cur = cur, (x2 * cur - root_prev * prev) / root
+            total += mpmath.sqrt(2) * cur * prev / root
+        return total
+
+
+def g_of_s(s):
+    """G(s) = s^(-1/2) P at the level N with (2N+1)^(-2/3) = s."""
+    with mpmath.workdps(P_DPS):
+        s = mpmath.mpf(s)
+        return p_of_level((s ** (-mpmath.mpf(3) / 2) - 1) / 2) / mpmath.sqrt(s)
+
+
+def big_f_of_s(s):
+    """F(s) at 30 digits by quadrature in x, as in the tests' mp_big_f_n."""
+    with mpmath.workdps(F_DPS):
+        nu43 = 1 / mpmath.mpf(s)
+
+        def zeta(x):
+            # x sqrt(x^2 - 1) - arccosh x cancels like (x - 1)^(3/2) near
+            # the turning point, where the tanh-sinh nodes crowd; 70 more
+            # digits keep zeta at full precision there.
+            with mpmath.extradps(70):
+                r = mpmath.sqrt(x * x - 1)
+                z = (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
+                    mpmath.mpf(2) / 3)
+            return +z
+
+        def integrand(x):
+            if x == 1:
+                # sqrt(f(1)) = 2^(-1/3), the limit where zeta/(x^2 - 1)
+                # is 0/0
+                return mpmath.cbrt(0.5) * mpmath.airyai(0) ** 2
+            z = zeta(x)
+            return mpmath.sqrt(z / (x * x - 1)) * mpmath.airyai(nu43 * z) ** 2
+
+        # Panel edges where t = 0.5 .. 80 follow the decay of Ai(t)^2.
+        edges = [mpmath.mpf(1)]
+        for t in (0.5, 2, 5, 10, 20, 40, 80):
+            guess = 1 + t / nu43 / mpmath.mpf(2) ** (mpmath.mpf(1) / 3)
+            edges.append(mpmath.findroot(lambda x: nu43 * zeta(x) - t, guess))
+        return nu43 * mpmath.quad(integrand, edges)
+
+
+def interval_end(precision):
+    """3^(-2/3) in the mpmath precision context given."""
+    with precision:
+        return mpmath.mpf(3) ** (-mpmath.mpf(2) / 3)
+
+
+# module, tuple name, sampler, samples, kept degree, DCT digits, interval end
+Series = namedtuple("Series", "module name sample samples degree dps s_hi")
+SERIES = (
+    Series("quadrature", "_P_CHEBYSHEV", g_of_s, 40, 20, P_DPS,
+           interval_end(mpmath.workprec(53))),
+    Series("asymptotics", "_BIG_F_CHEBYSHEV", big_f_of_s, 24, 17, 40,
+           interval_end(mpmath.workdps(40))),
+)
+
+
+def chebyshev_coefficients(series):
+    """All series.samples coefficients c_k, with c_0 already halved."""
+    n = series.samples
+    with mpmath.workdps(series.dps):
+        theta = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+        values = [series.sample(series.s_hi * (1 + mpmath.cos(th)) / 2)
+                  for th in theta]
+        coeffs = []
+        for k in range(n):
+            c = 2 * mpmath.fsum(v * mpmath.cos(k * th)
+                                for v, th in zip(values, theta)) / n
+            coeffs.append(c / 2 if k == 0 else c)
+        return coeffs
+
+
+def reference_gap():
+    """Largest |P(N) - PnReference(N)| over the integer REFERENCE_LEVELS."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import references
+    ref = references.PnReference(max(REFERENCE_LEVELS))
+    with mpmath.workdps(P_DPS):
+        return max(abs(p_of_level(n) - ref(n)) for n in REFERENCE_LEVELS)
+
+
+def literal(series, coeffs):
+    """The tuple assignment osctun holds, from c_0..c_degree of coeffs."""
+    lines = ["%s = (" % series.name]
+    lines.extend("    %r," % float(c) for c in coeffs[:series.degree + 1])
+    lines.append(")")
+    return "\n".join(lines)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the tuples in osctun")
+    args = parser.parse_args()
+    gap = reference_gap()
+    print("max |P - PnReference| at n = %s: %s"
+          % (", ".join(map(str, REFERENCE_LEVELS)), mpmath.nstr(gap, 2)),
+          file=sys.stderr)
+    if gap > mpmath.mpf(10) ** -40:
+        print("the real-order sum disagrees with PnReference", file=sys.stderr)
+        return 1
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    status = 0
+    for series in SERIES:
+        start = time.perf_counter()
+        coeffs = chebyshev_coefficients(series)
+        print("%s: %d samples in %.1f s; dropped |c_k|, k = %d..%d: %s"
+              % (series.name, series.samples, time.perf_counter() - start,
+                 series.degree + 1, series.samples - 1,
+                 " ".join(mpmath.nstr(abs(c), 2)
+                          for c in coeffs[series.degree + 1:])),
+              file=sys.stderr)
+        if not args.check:
+            print(literal(series, coeffs))
+            continue
+        where = "osctun.%s.%s" % (series.module, series.name)
+        frozen = getattr(importlib.import_module("osctun." + series.module),
+                         series.name)
+        if frozen == tuple(float(c) for c in coeffs[:series.degree + 1]):
+            print(where + " matches, bit for bit")
+        else:
+            print(where + " differs from the generated coefficients:\n"
+                  + literal(series, coeffs))
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
