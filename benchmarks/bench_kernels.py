@@ -3,7 +3,7 @@
 Usage:
     python3 benchmarks/bench_kernels.py [--size 200000] [--repeats 7]
 
-Prints three tables and one row, each the best of --repeats runs:
+Prints five tables, the first four each the best of --repeats runs:
 
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
@@ -18,20 +18,27 @@ Prints three tables and one row, each the best of --repeats runs:
    compare --n-range 513:612, each writing its CSV into a temporary
    directory, split into parts: building the parser uncached
    (cli._build_parser.__wrapped__), parsing argv with the cached parser,
-   the handler's computation (with cli._csv stubbed out), cli._csv on the
-   handler's table, staging (cli._run with the finished text, which checks
-   the tolerances and writes and replaces the file), and the whole
-   cli.main call, whose parser is built once and then reused.  main is
-   about parse + compute + _csv + stage; a one-shot process pays the build
-   on top.
-4. One CSV cell: cli._fmt against cli._dragon4, the Dragon4 route that
-   every float cell took before _fmt tried %#.12g first, per cell over
-   the float cells of figure 2.  The _csv column above shows what the
-   difference is worth on a whole table.
+   the table's columns (analysis._ratio_columns or
+   analysis._comparison_columns), the block writer cli._csv_columns on
+   them, staging (cli._run with the finished text, which checks the
+   tolerances and writes and replaces the file), and the whole cli.main
+   call, whose parser is built once and then reused.  main is about
+   parse + columns + write + stage; a one-shot process pays the build on
+   top.
+4. The CSV text of figure 2 and of the compare table over 513..612: the
+   block writer (cli._csv, one %-template per table) against a join of
+   cli._fmt cell by cell, which prints the same bytes, per float cell.
+5. The 10^6-level sweeps exact --n-range 1:1000000 and compare over the
+   same range, each as one fresh process writing into a temporary
+   directory: wall time, and the child's peak resident set
+   (RUSAGE_CHILDREN, read by a fresh python that runs only that child).
+   Each is run once, not best of --repeats.
 """
 
 import argparse
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -97,57 +104,85 @@ def sweep_table(repeats):
 
 
 def cli_table(repeats):
-    calls = [("fn 105:203", ["fn", "--n-range", "105:203"]),
-             ("compare 513:612", ["compare", "--n-range", "513:612"])]
+    calls = [("fn 105:203", ["fn", "--n-range", "105:203"], ("n", "ratio"),
+              analysis._ratio_columns),
+             ("compare 513:612", ["compare", "--n-range", "513:612"],
+              analysis._COMPARISON_COLUMNS, analysis._comparison_columns)]
     print("\nCLI calls in process: best of %d runs" % repeats)
     print("%-16s %10s %10s %12s %10s %10s %10s"
-          % ("call", "build [ms]", "parse [ms]", "compute [ms]", "_csv [ms]",
+          % ("call", "build [ms]", "parse [ms]", "columns [ms]", "write [ms]",
              "stage [ms]", "main [ms]"))
     parser = cli._build_parser()
-    tables = []
-
-    def capture(columns, rows):
-        tables.append((columns, rows))
-        return ""
-
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in calls:
+        for name, argv, header, columns_of in calls:
             argv = argv + ["--out", os.path.join(tmp, "out.csv")]
             args = parser.parse_args(argv)
-            real_csv = cli._csv
-            cli._csv = capture
-            try:
-                t_compute = best_of(repeats, args.handler, args)
-            finally:
-                cli._csv = real_csv
-            table = tables[-1]
-            text = cli._csv(*table)
+            levels = list(args.levels)
+            columns = columns_of(levels)
+            text = cli._csv_columns(header, columns)
             staged = argparse.Namespace(**vars(args))
-            staged.handler = lambda _: text
+            staged.handler = lambda _: [text]
             if cli.main(argv) != 0 or cli._run(staged) != 0:
                 raise SystemExit("%s failed" % name)
             times = [best_of(repeats, cli._build_parser.__wrapped__),
                      best_of(repeats, parser.parse_args, argv),
-                     t_compute,
-                     best_of(repeats, cli._csv, *table),
+                     best_of(repeats, columns_of, levels),
+                     best_of(repeats, cli._csv_columns, header, columns),
                      best_of(repeats, cli._run, staged),
                      best_of(repeats, cli.main, argv)]
             print("%-16s %10.3f %10.3f %12.3f %10.3f %10.3f %10.3f"
                   % ((name,) + tuple(1e3 * t for t in times)))
 
 
-def cell_row(repeats):
-    cells = [v for row in analysis.figure_dataset(2).rows for v in row
-             if isinstance(v, float)]
-    if list(map(cli._fmt, cells)) != list(map(cli._dragon4, cells)):
-        raise SystemExit("_fmt and _dragon4 disagree on figure 2")
-    t_fmt = best_of(repeats, lambda: list(map(cli._fmt, cells)))
-    t_dragon4 = best_of(repeats, lambda: list(map(cli._dragon4, cells)))
-    print("\none cell, over the %d float cells of figure 2: best of %d runs"
-          % (len(cells), repeats))
-    print("%-16s %10s %12s" % ("formatter", "_fmt [us]", "Dragon4 [us]"))
-    print("%-16s %10.3f %12.3f" % ("fig 2 cell", 1e6 * t_fmt / len(cells),
-                                   1e6 * t_dragon4 / len(cells)))
+def _per_cell(columns, rows):
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(cli._fmt, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def writer_table(repeats):
+    fig2 = analysis.figure_dataset(2)
+    tables = [("fig 2", (fig2.columns, fig2.rows)),
+              ("compare 513:612", analysis.comparison_table(range(513, 613)))]
+    print("\nCSV text per float cell: best of %d runs" % repeats)
+    print("%-16s %8s %12s %12s" % ("table", "cells", "block [us]",
+                                   "per-cell [us]"))
+    for name, (columns, rows) in tables:
+        cells = sum(isinstance(v, float) for row in rows for v in row)
+        if cli._csv(columns, rows) != _per_cell(columns, rows):
+            raise SystemExit("block writer and _fmt disagree on %s" % name)
+        t_block = best_of(repeats, cli._csv, columns, rows)
+        t_cell = best_of(repeats, _per_cell, columns, rows)
+        print("%-16s %8d %12.3f %12.3f" % (name, cells, 1e6 * t_block / cells,
+                                          1e6 * t_cell / cells))
+
+
+# Runs its arguments as one child process and prints the exit code, the
+# wall seconds and the child's peak resident set in kB.
+_PROBE = ("import resource, subprocess, sys, time\n"
+          "t = time.perf_counter()\n"
+          "code = subprocess.call(sys.argv[1:])\n"
+          "print(code, time.perf_counter() - t,\n"
+          "      resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+
+def million_table():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    print("\n10^6-level sweeps, one fresh process each")
+    print("%-28s %10s %10s" % ("call", "wall [s]", "peak [MB]"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd in ("exact", "compare"):
+            argv = [sys.executable, "-m", "osctun.cli", cmd, "--n-range",
+                    "1:1000000", "--out", os.path.join(tmp, cmd + ".csv")]
+            res = subprocess.run([sys.executable, "-c", _PROBE] + argv,
+                                 capture_output=True, text=True, env=env)
+            code, wall, peak_kb = res.stdout.split()
+            if code != "0":
+                raise SystemExit("%s exited with %s" % (cmd, code))
+            print("%-28s %10.2f %10.1f" % (cmd + " --n-range 1:1000000",
+                                           float(wall), int(peak_kb) / 1024))
 
 
 def main():
@@ -160,7 +195,8 @@ def main():
     kernel_table(args.size, args.repeats)
     sweep_table(args.repeats)
     cli_table(args.repeats)
-    cell_row(args.repeats)
+    writer_table(args.repeats)
+    million_table()
 
 
 if __name__ == "__main__":

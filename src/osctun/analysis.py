@@ -69,18 +69,25 @@ def comparison_table(n_values):
     p_leading and p_second have the bits of leading_term and second_order;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     """
+    ns, *cols = _comparison_columns(n_values)
+    return _COMPARISON_COLUMNS, list(zip(ns, *(c.tolist() for c in cols)))
+
+
+def _comparison_columns(n_values):
+    """comparison_table as columns: the levels as a list of ints, then one
+    float64 array per other field."""
     ns = [int(n) for n in specfun._check_levels(n_values)]
     if ns and min(ns) < 1:
         raise ValueError("comparison requires n >= 1, got %d" % min(ns))
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
-    rows = []
-    for n, p in zip(ns, quadrature._tunneling_arrays(ns)[0].tolist()):
-        lead, sec = _asymptotic_terms(n)
-        err_sec = abs(p - sec)
-        rows.append((n, p, lead, sec, abs(p - lead), err_sec,
-                     err_sec * float(n) ** (4.0 / 3.0)))
-    return _COMPARISON_COLUMNS, rows
+    p = quadrature._tunneling_arrays(ns)[0]
+    terms = np.array([_asymptotic_terms(n) for n in ns], dtype=np.float64)
+    lead, sec = terms.reshape(len(ns), 2).T
+    err_sec = np.abs(p - sec)
+    # Python's pow, as in _asymptotic_terms, and one rounding per product.
+    n43 = np.array([float(n) ** (4.0 / 3.0) for n in ns], dtype=np.float64)
+    return [ns, p, lead, sec, np.abs(p - lead), err_sec, err_sec * n43]
 
 
 def lemma_check(x_max, grid_size):
@@ -117,9 +124,14 @@ def lemma_check(x_max, grid_size):
 def ratio_table(n_values):
     """The ratios F_infinity / F_n as (columns, rows): ("n", "ratio") and one
     (n, ratio) pair per n, in input order, from one big_f_n_values call."""
-    ns = list(n_values)
-    ratios = F_INFINITY / big_f_n_values(ns)
+    ns, ratios = _ratio_columns(n_values)
     return ("n", "ratio"), list(zip(ns, ratios.tolist()))
+
+
+def _ratio_columns(n_values):
+    """ratio_table as columns: the levels as a list, the ratios as an array."""
+    ns = list(n_values)
+    return [ns, F_INFINITY / big_f_n_values(ns)]
 
 
 def ratio_sweep(n_min, n_max):

@@ -170,11 +170,15 @@ def f_n(n, t):
     return float(_kernels.f_from_e(e)[0])
 
 
-def _check_order(n):
+def _check_positive(n):
     specfun._check_n(n)
     if n < 1:
         raise ValueError("n must be >= 1 (the formula diverges at n=0)")
-    return int(n)
+
+
+def _check_order(n):
+    """n as an int, once it is an integer n >= 1 whose 2n+1 fits a double."""
+    return int(specfun._check_levels([n], 1, _check_positive)[0])
 
 
 def big_f_n(n):
@@ -197,7 +201,7 @@ def big_f_n_values(ns):
     Every n is checked before any is computed; then the series is summed
     once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
-    levels = specfun._check_levels(ns, 1, _check_order)
+    levels = specfun._check_levels(ns, 1, _check_positive)
     nu23 = specfun._nu23_of_levels(levels)
     return _kernels.chebyshev_of_s(_BIG_F_CHEBYSHEV, 1.0 / (nu23 * nu23))
 
@@ -239,7 +243,10 @@ def olver_approx(n, x):
 
     The prefactor c_n (zeta/(x^2-1))^(1/4) is assembled in log space, since
     c_n = sqrt(2 pi) e^(-nu^2/4) nu^((3 nu^2-1)/6) overflows for n beyond a
-    few hundred, and is combined with Ai through logarithms as well.
+    few hundred, and is combined with Ai through logarithms as well.  Near
+    the turning point from about n = 300 on, the right-hand side itself
+    exceeds the largest double (log_prefactor passes 709); then this raises
+    ValueError, whose message gives log_prefactor.
     """
     n = _check_order(n)
     x = _check_x(x)
@@ -249,13 +256,19 @@ def olver_approx(n, x):
     log_cn = (0.5 * math.log(2.0 * math.pi) - 0.25 * nu2
               + (3.0 * nu2 - 1.0) / 12.0 * math.log(nu2))
     log_pref = log_cn + 0.25 * math.log(fq)
-    nu23 = float(specfun._nu23_of_levels(specfun._check_levels([n]))[0])
+    nu23 = float(specfun._nu23_of_levels([n])[0])
     t = nu23 * nu23 * zp.zeta
     av = specfun.airy_ai(t)
+    rhs = 0.0
     if av.value > 0.0:
-        rhs = math.exp(log_pref + math.log(av.value))
-    else:
-        rhs = 0.0
+        log_rhs = log_pref + math.log(av.value)
+        try:
+            rhs = math.exp(log_rhs)
+        except OverflowError:
+            raise ValueError(
+                "olver_approx(%d, %r): the right-hand side e^%.6g exceeds the "
+                "largest double; log_prefactor = %.17g holds its prefactor "
+                "in log space" % (n, x, log_rhs, log_pref)) from None
     eps_bound = 1.36 * math.expm1(0.09 / nu2) * av.value
     return OlverApprox(n=n, x=x, rhs_value=rhs, eps_bound=eps_bound,
                        log_prefactor=log_pref)

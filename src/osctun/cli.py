@@ -1,18 +1,21 @@
 """Command-line front end emitting CSV tables and optional gnuplot scripts.
 
-Numbers print with 12 significant digits (exact integers bare, other
-floats from 1e11 up in scientific form), comma delimiter, dot decimal
-separator, LF line endings; identical invocations produce byte-identical
-output.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
-Output is computed first, then staged in a temporary file beside --out
-(and the gnuplot script's); the targets are replaced only once every file
-is staged, so a failed run leaves no partial file and leaves existing
-files untouched.  A target that exists and is not a regular file (a
-device, FIFO or socket) is written in place instead of replaced.
+A float prints as C's %#.12g, 12 significant digits with trailing zeros
+kept; an exact integer below 1e15 prints bare, and a float that rounds to
+12 or more integer digits (from 1e11 up) prints %.11e.  Comma delimiter,
+dot decimal separator, LF line endings; identical invocations produce
+byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
+failure.  Every level is checked before any is computed.  A sweep is then
+computed and written in blocks of levels, to stdout or to a temporary file
+beside --out (and the gnuplot script's); the targets are replaced only once
+every file is written, so a failed run leaves no partial file and leaves
+existing files untouched.  A target that exists and is not a regular file
+(a device, FIFO or socket) is written in place instead of replaced.
 """
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import stat
@@ -26,7 +29,7 @@ from .quadrature import QuadratureConfig
 
 __all__ = ["main", "entry"]
 
-# A range lists at most this many levels, which bounds a sweep's memory.
+# A range lists at most this many levels, which bounds a sweep's work.
 _MAX_RANGE_LEVELS = 10 ** 6
 # lemma holds about ten float arrays of --grid points; at 10^6 the process
 # peaked at 92 MB.  Above --x-max 1.3e154 e(2+e) overflows; 1e30 keeps
@@ -36,49 +39,94 @@ _MAX_LEMMA_X = 1e30
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        # %#.12g follows C's %g and rounds correctly, as Dragon4 does; it
-        # prints Dragon4's bytes whenever its 12th digit is not 0 and it has
-        # no e+ exponent.  Every other cell takes the Dragon4 route.
-        s = "%#.12g" % v
-        if "e" not in s:
-            if s[-1] not in "0.":
-                return s
-        else:
-            e = s.find("e")
-            if s[e + 1] == "-" and s[e - 1] != "0":
-                return s
-    elif isinstance(v, str):
+    """One cell: an int bare, a str as is, a float by the 12-digit rule.
+
+    A float prints as C's %#.12g: 12 significant digits, correctly rounded,
+    trailing zeros kept.  An exact integer below 1e15 prints bare.  Where
+    %#.12g would end in a bare dot, because the value rounds to 12 or more
+    integer digits (from 1e11 up), it prints %.11e instead.
+    """
+    if isinstance(v, str):
         return v
-    elif isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):
         return str(int(v))
     v = float(v)
     if not math.isfinite(v):
         return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
-    return _dragon4(v)
+    s = "%#.12g" % v
+    return "%.11e" % v if s[-1] == "." else s
 
 
-def _dragon4(v):
-    # When Dragon4's digits end before the 12th (an exact short value, or a
-    # carry), it pads with zeros until 12 digits are printed, counting the
-    # zeros before the first significant one: 0.25 prints 0.25000000000 and
-    # 0.0012 prints 0.00120000000, where %#.12g prints 0.250000000000 and
-    # 0.00120000000000.  The CSV bytes depend on that padding.
-    if 1e-4 <= abs(v) < 1e11:
-        s = np.format_float_positional(v, precision=12, unique=False,
-                                       fractional=False)
-        # A carry to 1e11 leaves no fraction digit and a trailing dot.
-        if s[-1] != ".":
-            return s
-    return np.format_float_scientific(v, precision=11, unique=False)
+# Below this magnitude a non-integral finite float rounds to at most 11
+# integer digits, so %#.12g prints it exactly as _fmt does; 12-digit
+# rounding reaches 1e11 only from 99999999999.95 up.
+_TEMPLATE_BELOW = 99999999999.9
+# A sweep is computed and written this many levels at a time.
+_BLOCK_LEVELS = 2 ** 15
+
+
+def _csv_columns(header, data):
+    """The CSV text of one block of rows given as columns, headed by the
+    header line unless header is None.
+
+    Each column gets one conversion of the table's %-template: %#.12g for
+    floats, %d for ints, %s for strings; a column of mixed types is mapped
+    through _fmt first.  One mask finds the rows holding a float that _fmt
+    prints otherwise (not finite, integral, or from about 1e11 up), and
+    those rows are joined from _fmt cell by cell, so the text is _fmt's by
+    construction.
+    """
+    out = [] if header is None else [",".join(header) + "\n"]
+    m = len(data[0]) if data else 0
+    if not m:
+        return "".join(out)
+    k = len(data)
+    cells = [None] * (k * m)
+    special = np.zeros(m, dtype=bool)
+    spec = []
+    for j, col in enumerate(data):
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            types = {float}
+        else:
+            types = set(map(type, col))
+        if all(issubclass(t, float) for t in types):
+            a = np.asarray(col, dtype=np.float64)
+            special |= ~(np.abs(a) < _TEMPLATE_BELOW) | (a == np.trunc(a))
+            col = a.tolist()
+            spec.append("%#.12g")
+        elif all(issubclass(t, (int, np.integer)) for t in types):
+            spec.append("%d")
+        else:
+            if not all(issubclass(t, str) for t in types):
+                col = list(map(_fmt, col))
+            spec.append("%s")
+        cells[j::k] = col
+    template = ",".join(spec) + "\n"
+    start = 0
+    for i in np.flatnonzero(special).tolist() + [m]:
+        if i > start:
+            out.append((template * (i - start))
+                       % tuple(cells[start * k:i * k]))
+        if i < m:
+            out.append(",".join(map(_fmt, cells[i * k:(i + 1) * k])) + "\n")
+        start = i + 1
+    return "".join(out)
 
 
 def _csv(columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """The CSV text of rows, headed by the columns line unless columns is
+    None: _csv_columns on the rows' columns."""
+    return _csv_columns(columns, list(zip(*rows)))
+
+
+def _stream(header, levels, block_text):
+    """The CSV text of a sweep over levels, in blocks of _BLOCK_LEVELS
+    levels: block_text(header or None, block) computes and formats one."""
+    for start in range(0, len(levels), _BLOCK_LEVELS):
+        block = list(levels[start:start + _BLOCK_LEVELS])
+        yield block_text(header if start == 0 else None, block)
 
 
 def _check_fits_double(n):
@@ -115,7 +163,7 @@ def _parse_range(text):
     if (last - a) // step + 1 > _MAX_RANGE_LEVELS:
         raise argparse.ArgumentTypeError(
             "range lists more than %d levels" % _MAX_RANGE_LEVELS)
-    return list(range(a, b + 1, step))
+    return range(a, b + 1, step)
 
 
 def _config(args):
@@ -130,30 +178,43 @@ class _UsageError(Exception):
 
 
 def _cmd_exact(args):
-    values, errs = quadrature._tunneling_arrays(args.levels)
-    return _csv(("n", "p_exact", "err_estimate"),
-                zip(args.levels, values.tolist(), errs.tolist()))
+    def block_text(header, block):
+        values, errs = quadrature._tunneling_arrays(block)
+        return _csv_columns(header, [block, values, errs])
+
+    return _stream(("n", "p_exact", "err_estimate"), args.levels, block_text)
 
 
 def _cmd_asympt(args):
     if args.levels[0] < 1:
         raise _UsageError("asympt requires n >= 1 (the formula diverges at 0)")
     terms = asymptotics._asymptotic_terms
-    rows = [(n, terms(n)[args.order - 1]) for n in args.levels]
-    return _csv(("n", "p_asympt"), rows)
+    k = args.order - 1
+
+    def block_text(header, block):
+        return _csv(header, [(n, terms(n)[k]) for n in block])
+
+    return _stream(("n", "p_asympt"), args.levels, block_text)
 
 
 def _cmd_compare(args):
     if args.levels[0] < 1 or args.levels[-1] >= analysis._COMPARE_LEVEL_LIMIT:
         raise _UsageError("compare requires 1 <= n < 2^768 (about 1.55e231)")
-    return _csv(*analysis.comparison_table(args.levels))
+
+    def block_text(header, block):
+        return _csv_columns(header, analysis._comparison_columns(block))
+
+    return _stream(analysis._COMPARISON_COLUMNS, args.levels, block_text)
 
 
 def _cmd_fn(args):
-    ns = args.levels
-    if ns[0] < 1:
+    if args.levels[0] < 1:
         raise _UsageError("fn requires n >= 1")
-    return _csv(*analysis.ratio_table(ns))
+
+    def block_text(header, block):
+        return _csv_columns(header, analysis._ratio_columns(block))
+
+    return _stream(("n", "ratio"), args.levels, block_text)
 
 
 def _cmd_lemma(args):
@@ -173,7 +234,7 @@ def _cmd_lemma(args):
             % (_fmt(args.x_max), rep.grid_size, _fmt(rep.max_violation),
                _fmt(rep.endpoint_left), _fmt(rep.endpoint_decay),
                "true" if rep.passed else "false"))
-    return text, (0 if rep.passed else 3)
+    return [text], (0 if rep.passed else 3)
 
 
 _FIG_PLOTS = {
@@ -209,7 +270,7 @@ def _cmd_fig(args):
         raise _UsageError("--emit-plot-script needs --out FILE for the "
                           "script to reference")
     data = analysis.figure_dataset(args.id)
-    return _csv(data.columns, data.rows)
+    return [_csv(data.columns, data.rows)]
 
 
 def _open_temp(path):
@@ -245,24 +306,44 @@ def _open_temp(path):
     return os.fdopen(fd, "w", newline=""), tmp, target
 
 
+def _numerical_failure(exc):
+    print("numerical failure: %s" % exc, file=sys.stderr)
+    return 3
+
+
 def _run(args):
+    """Runs the handler and writes its text; returns the exit code.
+
+    A handler checks its input and returns the output as an iterable of
+    text blocks (and an exit code, if not 0), which may compute as they
+    are iterated.  The first block is computed before any file is opened.
+    File output is staged: the targets are replaced only once every block
+    of every file is written, and a failure removes the staged files.
+    """
     try:
         # Every subcommand validates the tolerance flags; none uses them.
         _config(args)
         result = args.handler(args)
+        blocks, code = result if isinstance(result, tuple) else (result, 0)
+        blocks = iter(blocks)
+        first = next(blocks, "")
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return 3
-    text, code = result if isinstance(result, tuple) else (result, 0)
+        return _numerical_failure(exc)
+    blocks = itertools.chain([first], blocks)
     if args.out == "-":
-        sys.stdout.write(text)
+        try:
+            for block in blocks:
+                sys.stdout.write(block)
+        except ValueError as exc:
+            return _numerical_failure(exc)
         return code
-    files = [(args.out, text)]
+    files = [(args.out, blocks)]
     if getattr(args, "emit_plot_script", False):
-        files.append(_plot_script(args.id, args.out))
+        path, text = _plot_script(args.id, args.out)
+        files.append((path, [text]))
     staged = []
     try:
         for path, body in files:
@@ -274,19 +355,21 @@ def _run(args):
             staged.append((tmp, target, path, body))
             if fh is not None:
                 with fh:
-                    fh.write(body)
+                    fh.writelines(body)
         while staged:
             tmp, target, path, body = staged[0]
             try:
                 if tmp is None:
                     with open(target, "w", newline="") as fh:
-                        fh.write(body)
+                        fh.writelines(body)
                 else:
                     os.replace(tmp, target)
             except OSError as exc:
                 print("cannot write %s: %s" % (path, exc), file=sys.stderr)
                 return 2
             staged.pop(0)
+    except ValueError as exc:
+        return _numerical_failure(exc)
     finally:
         for tmp, _, _, _ in staged:
             if tmp is not None:

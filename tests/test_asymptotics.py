@@ -549,6 +549,20 @@ class TestAsymptoticTerms:
         with pytest.raises(ValueError):
             second_order(0)
 
+    @pytest.mark.parametrize("term", [leading_term, second_order])
+    @pytest.mark.parametrize("n", [10 ** 400, 2 ** 1023 - 2 ** 969],
+                             ids=["1e400", "first-past-a-double"])
+    def test_rejects_levels_past_a_double(self, term, n):
+        # The same ValueError as every other level route, not an
+        # OverflowError from float(n).
+        with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
+            term(n)
+
+    @pytest.mark.parametrize("term, k", [(leading_term, 0), (second_order, 1)])
+    def test_largest_level(self, term, k):
+        n = 2 ** 1023 - 2 ** 969 - 1
+        assert term(n).value == asymptotics._asymptotic_terms(n)[k]
+
 
 def log_lhs(n, x):
     # e^(-nu^2 x^2/2) H_n(nu x) rebuilt from psi_n in log space.
@@ -589,3 +603,27 @@ class TestOlver:
             olver_approx(0, 1.5)
         with pytest.raises(ValueError):
             olver_approx(3, 0.5)
+
+    @pytest.mark.parametrize("n, x", [(300, 1.0), (612, 1.3)])
+    def test_right_hand_side_past_a_double(self, n, x):
+        # log_prefactor is about 810 at n = 300, past ln(DBL_MAX) = 709.8:
+        # the value itself does not fit a double.
+        with pytest.raises(ValueError, match="log_prefactor = ") as info:
+            olver_approx(n, x)
+        text = str(info.value).split("log_prefactor = ")[1]
+        log_pref = float(text.split()[0])
+        assert log_pref > math.log(1.7976931348623157e308)
+
+    @pytest.mark.parametrize("x, rhs, eps, log_pref", [
+        (1.0, 4.164396809032496e+93, 0.00021624459739580645,
+         216.6025435574083),
+        (1.3, 1.2847672581933208e+79, 6.859382777309951e-19,
+         216.57475730178152),
+        (2.0, 0.22441774841046425, 1.2620365897127114e-98, 216.5228244125493),
+        (5.0, 0.0, 0.0, 216.39230817665646),
+    ])
+    def test_level_100_unchanged(self, x, rhs, eps, log_pref):
+        # Bits of the route before the overflow check was added.
+        oa = olver_approx(100, x)
+        assert (oa.rhs_value, oa.eps_bound, oa.log_prefactor) == (
+            rhs, eps, log_pref)

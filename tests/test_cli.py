@@ -11,10 +11,12 @@ import sys
 import threading
 import time
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osctun import analysis, cli, quadrature
 from osctun.asymptotics import leading_term, second_order
@@ -606,7 +608,10 @@ class TestRepeatedCalls:
 def dragon4_fmt(v):
     """Reference cell formatter: every float goes through numpy's Dragon4.
 
-    This is _fmt without its %#.12g route; _fmt must print the same bytes.
+    This is the formatter the CSV used before the 12-digit rule.  Where its
+    digits end early (a short value, or a carry), it pads with zeros until
+    12 digits are printed, counting the zeros before the first significant
+    one: 0.25 prints 0.25000000000.  Every _fmt cell is the same number.
     """
     if isinstance(v, str):
         return v
@@ -625,6 +630,29 @@ def dragon4_fmt(v):
     return np.format_float_scientific(v, precision=11, unique=False)
 
 
+def assert_cell_rule(v, text):
+    """text is _fmt(v) by the 12-digit rule, and the number dragon4_fmt
+    prints: a bare integer, nan or inf, %.11e once the 12-digit rounding
+    reaches 1e11, else %#.12g; those two show exactly 12 significant digits.
+    """
+    ref = dragon4_fmt(v)
+    if isinstance(v, (int, np.integer)):
+        assert text == ref == str(int(v))
+        return
+    v = float(v)
+    if not math.isfinite(v) or (v == int(v) and abs(v) < 1e15):
+        assert text == ref
+        assert text in ("nan", "inf", "-inf") or text == str(int(v))
+        return
+    assert Decimal(text) == Decimal(ref), (v, text, ref)
+    mantissa = text.lstrip("-").split("e")[0]
+    assert len(mantissa.replace(".", "").lstrip("0")) == 12, (v, text)
+    if abs(Decimal(text)) >= Decimal("1e11"):
+        assert text == "%.11e" % v
+    else:
+        assert text == "%#.12g" % v
+
+
 def _neighbours(base, ulps=64, steps=30):
     """Doubles around base: each ulp step, and relative steps of 1e-13."""
     out = [base]
@@ -636,12 +664,25 @@ def _neighbours(base, ulps=64, steps=30):
     return out + [-v for v in out]
 
 
+def per_cell_csv(columns, rows):
+    return "".join(",".join(map(_fmt, r)) + "\n"
+                   for r in [columns] + list(rows))
+
+
 class TestCellFormat:
-    # When Dragon4's 12 digits end early, because the value is short (0.25)
-    # or a carry ends them (0.15 prints 0.15000000000), it pads with zeros
-    # until 12 digits are printed, counting the zeros before the first
-    # significant one; %#.12g would print 0.250000000000.  The CSV bytes
-    # depend on that padding, so a faster formatter must reproduce it.
+    # Dragon4's text for each value, then _fmt's where the two differ:
+    # where Dragon4's 12 digits end early, because the value is short
+    # (0.25) or a carry ends them (0.15), %#.12g keeps 12 significant
+    # digits.  Both are the same number.
+    _PADDED = {
+        0.15: "0.150000000000",
+        0.00015: "0.000150000000000",
+        0.025365375652972085: "0.0253653756530",
+        0.25: "0.250000000000",
+        0.125: "0.125000000000",
+        0.0012: "0.00120000000000",
+    }
+
     @pytest.mark.parametrize("value, text", [
         (0.15, "0.15000000000"),
         (0.00015, "0.00015000000"),
@@ -666,8 +707,9 @@ class TestCellFormat:
         (2e11, "200000000000"),
     ])
     def test_fmt_cells(self, value, text):
-        assert _fmt(value) == text
         assert dragon4_fmt(value) == text
+        assert _fmt(value) == self._PADDED.get(value, text)
+        assert_cell_rule(value, _fmt(value))
 
     def test_matches_dragon4_on_sampled_doubles(self):
         rng = np.random.default_rng(20261018)
@@ -681,10 +723,10 @@ class TestCellFormat:
             [math.nan, math.inf, -math.inf, 0.0, -0.0]])
         assert values.size >= 20000
         for v in values.tolist():
-            assert _fmt(v) == dragon4_fmt(v), repr(v)
+            assert_cell_rule(v, _fmt(v))
         for v in values[::7]:
             assert type(v) is np.float64
-            assert _fmt(v) == dragon4_fmt(v), repr(v)
+            assert _fmt(v) == _fmt(float(v))
 
     def test_matches_dragon4_on_ints(self):
         ints = [0, 1, -1, 612, 10 ** 15, -(10 ** 17), 2 ** 64, 10 ** 400]
@@ -697,36 +739,134 @@ class TestCellFormat:
         # them are exact ties at 12 digits.
         for k in range(1, 2 * denominator):
             v = k / denominator
-            assert _fmt(v) == dragon4_fmt(v), repr(v)
-            assert _fmt(-v) == dragon4_fmt(-v), repr(-v)
+            assert_cell_rule(v, _fmt(v))
+            assert_cell_rule(-v, _fmt(-v))
 
     @pytest.mark.parametrize("base", [1e-4, 1e11, 1e12, 1e15, 1e16])
     def test_matches_dragon4_at_switch_points(self, base):
         for v in _neighbours(base):
-            assert _fmt(v) == dragon4_fmt(v), repr(v)
+            assert_cell_rule(v, _fmt(v))
 
-    @pytest.mark.parametrize("table", ["fig2", "fig5", "fn"])
-    def test_few_cells_reach_dragon4(self, monkeypatch, table):
-        # A silent fall-back to Dragon4 would keep every byte and lose the
-        # speed; count the cells that take it instead of timing them.
-        if table == "fn":
-            columns, rows = analysis.ratio_table(range(6, 501))
-        else:
-            data = analysis.figure_dataset(int(table[-1]))
-            columns, rows = data.columns, data.rows
-        floats = sum(1 for row in rows for v in row
-                     if isinstance(v, float) and v != int(v))
+    @pytest.mark.parametrize("argv", [
+        ["fig", "--id", "2"],
+        ["fig", "--id", "5"],
+        ["fn", "--n-range", "6:500"],
+    ], ids=["fig2", "fig5", "fn"])
+    def test_no_row_leaves_the_template(self, capsys, monkeypatch, argv):
+        # A row that leaves the table's %-template is joined by _fmt cell
+        # by cell: same bytes, less speed.  Count those cells instead of
+        # timing them; none of these tables has such a row.
         calls = []
-        real = cli._dragon4
+        real = cli._fmt
 
         def counted(v):
             calls.append(v)
             return real(v)
 
-        monkeypatch.setattr(cli, "_dragon4", counted)
-        cli._csv(columns, rows)
-        assert floats > 0
-        assert len(calls) <= 0.15 * floats
+        monkeypatch.setattr(cli, "_fmt", counted)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert len(out.splitlines()) > 100
+        assert calls == []
+
+
+class TestBlockWriter:
+    _SPECIAL = [0.0, -0.0, 1e11, math.nextafter(1e11, 0.0),
+                math.nextafter(1e11, math.inf), 99999999999.95,
+                99999999999.9, 1e15, -1e15, 2e11, math.nan, math.inf,
+                -math.inf, 5e-324, 2.2250738585072014e-308, 1e-4,
+                math.nextafter(1e-4, 0.0), 9.99999999999995e-05, 1.0,
+                -3.0, 1e300]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_per_cell_fmt(self, data):
+        floats = st.one_of(st.sampled_from(self._SPECIAL),
+                           st.floats(allow_nan=True, allow_infinity=True),
+                           st.floats(-1e12, 1e12))
+        kinds = {"float": floats,
+                 "int": st.integers(-2 ** 1023, 2 ** 1023),
+                 "str": st.text(max_size=6),
+                 "mixed": st.one_of(floats, st.integers(-10 ** 20, 10 ** 20),
+                                    st.just("a%s"))}
+        names = data.draw(st.lists(st.sampled_from(sorted(kinds)),
+                                   min_size=1, max_size=6))
+        rows = data.draw(st.lists(st.tuples(*(kinds[k] for k in names)),
+                                  max_size=30))
+        header = tuple("c%d" % j for j in range(len(names)))
+        want = per_cell_csv(header, rows)
+        assert cli._csv(header, rows) == want
+        # Float columns may also come as arrays, as the sweeps pass them.
+        columns = [np.array(c, dtype=np.float64) if k == "float" else list(c)
+                   for k, c in zip(names, zip(*rows))] if rows else []
+        assert cli._csv_columns(header, columns) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--n-range", "0:1000"],
+        ["exact", "--n-range", "3:2000:7"],
+        ["compare", "--n-range", "1:700"],
+        ["fn", "--n-range", "1:600"],
+        ["asympt", "--order", "2", "--n-range", "1:500"],
+    ])
+    def test_blocks_give_the_bytes_of_one_block(self, capsys, monkeypatch,
+                                                tmp_path, argv):
+        code, whole, _ = run_cli(capsys, argv)
+        assert code == 0
+        for size in (1, 64, 999):
+            monkeypatch.setattr(cli, "_BLOCK_LEVELS", size)
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert out == whole
+            path = tmp_path / ("b%d.csv" % size)
+            assert main(argv + ["--out", str(path)]) == 0
+            assert path.read_text() == whole
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_in_second_block(self, capsys, monkeypatch, tmp_path,
+                                     existing):
+        # The first block is staged when the second fails: the temp file
+        # is removed and the target is neither made nor replaced.
+        calls = []
+        real = quadrature._tunneling_arrays
+
+        def second_fails(ns):
+            calls.append(len(ns))
+            if len(calls) == 2:
+                raise ValueError("stalled")
+            return real(ns)
+
+        monkeypatch.setattr(cli, "_BLOCK_LEVELS", 10)
+        monkeypatch.setattr(quadrature, "_tunneling_arrays", second_fails)
+        out = tmp_path / "p.csv"
+        if existing:
+            out.write_text("keep me\n")
+        code, _, err = run_cli(capsys, ["exact", "--n-range", "0:99",
+                                        "--out", str(out)])
+        assert code == 3
+        assert "numerical failure: stalled" in err
+        assert calls == [10, 10]
+        if existing:
+            assert out.read_text() == "keep me\n"
+            assert os.listdir(tmp_path) == ["p.csv"]
+        else:
+            assert os.listdir(tmp_path) == []
+
+    def test_million_level_sweep_in_a_child(self, tmp_path, child_env):
+        # Streamed in blocks, the 10^6-level sweep never holds its text:
+        # the child peaks well under what the whole table takes.
+        out = tmp_path / "p.csv"
+        probe = ("import resource, subprocess, sys\n"
+                 "code = subprocess.call([sys.executable, '-m', 'osctun.cli',"
+                 " 'exact', '--n-range', '1:1000000', '--out', sys.argv[1]])\n"
+                 "print(code, resource.getrusage("
+                 "resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        res = subprocess.run([sys.executable, "-c", probe, str(out)],
+                             capture_output=True, text=True, env=child_env)
+        code, peak_kb = map(int, res.stdout.split())
+        assert code == 0
+        with open(out) as fh:
+            assert sum(1 for _ in fh) == 10 ** 6 + 1
+        assert peak_kb < 100 * 1024
 
 
 class TestPinnedBytes:
@@ -734,9 +874,9 @@ class TestPinnedBytes:
     # columns, which test_figure_five_cells_are_the_rounded_truth checks
     # cell by cell; figure 4 is the F_n series.
     @pytest.mark.parametrize("fig_id, digest", [
-        (2, "ddab4a6dcd36e30628d4651bd999646c9025cffff86d72273637e370fad7e886"),
+        (2, "a05ee20e1b9eb03c47ca014439ce3c999143fda972fd97dddd98bc6b181b167b"),
         (4, "0e048299b1d4d990240df98a236258d4dd31e86a6c68ce3c7372ca1487523e6a"),
-        (5, "e4c3c64235edc2713e204dd5d5e111167591a9d1541d55ce278f3d75a3014e65"),
+        (5, "345b69ad407f564b45b92807b99dec82ca24a83aae28fb520f434c523d95dc37"),
     ])
     def test_figure_csv_digest(self, capsys, fig_id, digest):
         code, out, _ = run_cli(capsys, ["fig", "--id", str(fig_id)])
