@@ -2,6 +2,8 @@
 independent evaluations: mpmath, direct recurrences and numpy's Chebyshev
 sum."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,16 @@ def test_inversion_converges_just_above_series_seam():
     assert ok
     back = _kernels.zeta_from_e(e)
     assert np.all(np.abs(back - zeta) <= 1e-12 * np.maximum(1.0, zeta))
+
+
+def test_airy_series_bits_pinned():
+    # The Maclaurin branch uses only + - * / and abs, which IEEE 754 rounds
+    # the same on every CPU, so these bits hold under numpy's AVX2 dispatch
+    # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") as well.
+    t = np.linspace(-2.0, 9.0, 20001)
+    ai = _kernels.airy_values(t)[0]
+    assert hashlib.sha256(ai.tobytes()).hexdigest() == (
+        "4158fd68e63d42f957cb0ec4bff8e77324ede03afe3c3da22fe80bb3f06d3838")
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 44.73, 1000.0, 3e4])
