@@ -8,11 +8,14 @@ Kernels:
                               power-of-2 scaled three-term recurrence
 - airy_values(t):             (Ai, Ai', err_estimate, method) on a t array,
                               dd-compensated Maclaurin series below T_SWITCH,
+                              whose one loop sums F, G and both derivatives,
                               optimally truncated asymptotic expansion above
 - invert_zeta_values(zeta):   x - 1 solving zeta(x) = zeta, series seed plus
                               safeguarded Newton on the 3/2-power form
 - zeta_from_e(e), f_from_e(e): forward turning-point map and its f ratio,
-                              series near e = x - 1 = 0, direct form elsewhere
+                              series near e = x - 1 = 0, direct form elsewhere;
+                              x^2 - 1 = e(2+e) overflows from x ~ 1.34e154
+- _horner(coeffs, x):         the one Horner sum of the three map series
 - chebyshev_of_s(c, s):       sum of c_k T_k(2s/S_MAX - 1) on an s array by
                               Clenshaw; the two series of tools/gen_series.py
 """
@@ -52,6 +55,8 @@ T_SWITCH = 9.0
 AIRY_SERIES = 0    # method codes
 AIRY_ASYMPTOTIC = 1
 _MAX_TERMS = 200
+_ROW_SHIFT = np.array([[0.0], [1.0]])      # F's row, G's row of the series
+_ROW_FLOOR = np.array([[0.0], [1e-300]])   # floors |G| in the stop rule
 
 # Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3) as hi/lo
 # pairs; the series combination Ai = Ai(0) F + Ai'(0) G cancels ~16 digits at
@@ -117,6 +122,7 @@ INV_SERIES_B = np.array([
 DELTA_ZETA_SERIES = 1e-3   # forward map: series for e < delta, direct beyond
 DELTA_F_SERIES = 0.05      # f ratio: wider zone, no cancellation in either form
 ZETA_INV_SERIES = 0.02     # inverse: series alone is at roundoff below this
+ZETA_INV_BIG = 1.2         # inverse: Newton seed from the large-zeta form above
 
 _NEWTON_RTOL = 1e-14       # on the 3/2-power residual; ~6.7e-15 in zeta
 _NEWTON_MAX = 100
@@ -172,29 +178,12 @@ def dd_div_d(ah, al, b):
 # ---------------------------------------------------------------------------
 # elementwise turning-point map pieces
 
-def zeta_series_factor(e):
-    """Horner sum of the zeta series in e; zeta = 2^(1/3) * e * factor."""
-    acc = e * 0.0 + ZETA_SERIES_C[8]
-    for i in range(7, -1, -1):
-        acc = acc * e + ZETA_SERIES_C[i]
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^i by Horner's rule, elementwise on x."""
+    acc = x * 0.0 + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
     return acc
-
-
-def f_series_factor(e):
-    """Horner sum of the f series in e; f = 2^(-2/3) * factor."""
-    acc = e * 0.0 + F_SERIES_C[8]
-    for i in range(7, -1, -1):
-        acc = acc * e + F_SERIES_C[i]
-    return acc
-
-
-def inv_series_e(zeta):
-    """Series inverse e(zeta); full precision only for zeta <~ 0.02."""
-    w = TWO_M13 * zeta
-    acc = w * 0.0 + INV_SERIES_B[7]
-    for i in range(6, -1, -1):
-        acc = acc * w + INV_SERIES_B[i]
-    return w * acc
 
 
 def g_of_e(e):
@@ -270,68 +259,48 @@ def hermite_values(n, x):
 
 
 def _airy_series(t):
-    # F, G Maclaurin sums and their derivative sums, all in double-double;
-    # the t^3 power also stays in dd so high terms do not drift
+    # Ai = Ai(0) F + Ai'(0) G with F = sum f_k, G = sum g_k (DLMF 9.4),
+    # summed in double-double as two stacked rows: f_0 = 1, g_0 = t, and
+    # term k+1 is term k times t^3 over (j+2)(j+3), j = 3k for F and 3k+1
+    # for G.  The t^3 power also stays in dd so high terms do not drift.
+    # The same terms give t F' = sum 3k f_k and t G' - t = sum_{k>=1}
+    # (3k+1) g_k, term k+1 weighted by j+3; both sums are 0 at t = 0.
     t3h, t3l = two_prod(t, t)
     t3h, t3l = dd_mul_d(t3h, t3l, t)
-    fh = np.ones_like(t)
-    fl = np.zeros_like(t)
-    gh = t.copy()
-    gl = np.zeros_like(t)
-    fth = np.ones_like(t)
-    ftl = np.zeros_like(t)
-    gth = t.copy()
-    gtl = np.zeros_like(t)
+    th = np.stack([np.ones_like(t), t])
+    tl = np.zeros_like(th)
+    sh = th.copy()
+    sl = np.zeros_like(th)
+    dh = np.zeros_like(th)
+    dl = np.zeros_like(th)
     mag = 1.0 + np.abs(t)
     for k in range(_MAX_TERMS):
-        fth, ftl = dd_mul(fth, ftl, t3h, t3l)
-        fth, ftl = dd_div_d(fth, ftl, (3.0 * k + 2.0) * (3.0 * k + 3.0))
-        fh, fl = dd_add(fh, fl, fth, ftl)
-        gth, gtl = dd_mul(gth, gtl, t3h, t3l)
-        gth, gtl = dd_div_d(gth, gtl, (3.0 * k + 3.0) * (3.0 * k + 4.0))
-        gh, gl = dd_add(gh, gl, gth, gtl)
-        mag = mag + np.abs(fth) + np.abs(gth)
-        done = (np.abs(fth) < 1e-35 * np.abs(fh)) & (
-            np.abs(gth) < 1e-35 * np.maximum(np.abs(gh), 1e-300))
-        if done.all():
+        j = 3.0 * k + _ROW_SHIFT
+        th, tl = dd_mul(th, tl, t3h, t3l)
+        th, tl = dd_div_d(th, tl, (j + 2.0) * (j + 3.0))
+        sh, sl = dd_add(sh, sl, th, tl)
+        ph, pl = dd_mul_d(th, tl, j + 3.0)
+        dh, dl = dd_add(dh, dl, ph, pl)
+        mag = mag + np.abs(th[0]) + np.abs(th[1])
+        if (np.abs(th) < 1e-35 * np.maximum(np.abs(sh), _ROW_FLOOR)).all():
             break
-    fph, fpl = two_prod(t, t)
-    fph, fpl = dd_div_d(fph, fpl, 2.0)
-    fpth, fptl = fph, fpl
-    k = 1
-    while k < _MAX_TERMS:
-        nh, nl = dd_mul(fpth, fptl, t3h, t3l)
-        nh, nl = dd_mul_d(nh, nl, float(k + 1))
-        nh, nl = dd_div_d(nh, nl, float(k) * (3.0 * k + 2.0) * (3.0 * k + 3.0))
-        fpth, fptl = nh, nl
-        fph, fpl = dd_add(fph, fpl, fpth, fptl)
-        if (np.abs(fpth) < 1e-35 * np.maximum(np.abs(fph), 1e-300)).all():
-            break
-        k += 1
-    gph = np.ones_like(t)
-    gpl = np.zeros_like(t)
-    gpth = np.ones_like(t)
-    gptl = np.zeros_like(t)
-    k = 0
-    while k < _MAX_TERMS:
-        nh, nl = dd_mul(gpth, gptl, t3h, t3l)
-        nh, nl = dd_div_d(nh, nl, (3.0 * k + 1.0) * (3.0 * k + 3.0))
-        gpth, gptl = nh, nl
-        gph, gpl = dd_add(gph, gpl, gpth, gptl)
-        if (np.abs(gpth) < 1e-35 * np.maximum(np.abs(gph), 1e-300)).all():
-            break
-        k += 1
+    # F' and G' - 1 on the rows; t = 0 divides its zero sums by 1
+    dh, dl = dd_div_d(dh, dl, np.where(t == 0.0, 1.0, t))
+    gph, gpl = dd_add(1.0, 0.0, dh[1], dl[1])
+    # rows Ai = Ai(0) F + Ai'(0) G and Ai' = Ai(0) F' + Ai'(0) G'
+    fh, fl = np.stack([sh[0], dh[0]]), np.stack([sl[0], dl[0]])
+    gh, gl = np.stack([sh[1], gph]), np.stack([sl[1], gpl])
     ah, al = dd_mul(fh, fl, AI0_HI, AI0_LO)
     bh, bl = dd_mul(gh, gl, AIP0_HI, AIP0_LO)
-    aih, _ = dd_add(ah, al, bh, bl)
-    ah, al = dd_mul(fph, fpl, AI0_HI, AI0_LO)
-    bh, bl = dd_mul(gph, gpl, AIP0_HI, AIP0_LO)
-    aiph, _ = dd_add(ah, al, bh, bl)
+    (aih, aiph), _ = dd_add(ah, al, bh, bl)
     err = 2.5e-16 * np.abs(aih) + 1e-31 * mag
     return aih, aiph, err
 
 
 def _airy_asym(t):
+    # Ai and Ai' round to 0.0 from t ~ 108 on, and so they do at t = 1e3,
+    # which keeps t^(3/2) and z^20 finite for any larger t.
+    t = np.minimum(t, 1e3)
     st = np.sqrt(t)
     z = (2.0 / 3.0) * t * st
     s_ai = np.ones_like(t)
@@ -389,25 +358,25 @@ def invert_zeta_values(zeta):
     """x - 1 solving the forward map = zeta, per element.
 
     Returns (e, ok); ok is False when any element hit the iteration cap
-    (does not happen for finite nonnegative input, kept for the contract).
+    (does not happen on [0, zeta(1e153)], where x^2 - 1 fits a double;
+    kept for the contract).
     """
     zeta = np.asarray(zeta, dtype=np.float64)
-    e = inv_series_e(zeta)
-    big = zeta > 1.2
-    if big.any():
-        w_all = zeta * np.sqrt(zeta)
-        e = np.where(big, np.sqrt(4.0 * w_all / 3.0) - 1.0, e)
+    # The series seed is used only up to ZETA_INV_BIG, so it sees no larger
+    # zeta and a large zeta cannot overflow it.
+    zs = TWO_M13 * np.minimum(zeta, ZETA_INV_BIG)
+    w = zeta * np.sqrt(zeta)
+    e = np.where(zeta > ZETA_INV_BIG, np.sqrt(4.0 * w / 3.0) - 1.0,
+                 zs * _horner(INV_SERIES_B, zs))
     active = zeta > ZETA_INV_SERIES
     if not active.any():
         return e, True
-    w = zeta * np.sqrt(zeta)
+    # [0, 2e + 1] brackets the root of g(e) = w.  Above ZETA_INV_BIG, hi
+    # puts x = 1 + hi at 2 sqrt(4w/3), and x sqrt(x^2-1) >= x^2 - 1 with
+    # arccosh x <= ln 2x give g(hi) >= 4w - 3/4 - (3/4) ln 2x > w for every
+    # w > 1.2^(3/2).  Below it, hi >= 1 and g(1) = 1.61 > 1.2^(3/2) >= w.
     lo = np.zeros_like(e)
     hi = 2.0 * e + 1.0
-    for _ in range(60):
-        grow = active & (g_of_e(hi) < w)
-        if not grow.any():
-            break
-        hi = np.where(grow, hi * 2.0, hi)
     for _ in range(_NEWTON_MAX):
         if not active.any():
             break
@@ -435,7 +404,7 @@ def zeta_from_e(e):
     e = np.asarray(e, dtype=np.float64)
     # The series sees no e above its seam, so a large e cannot overflow it.
     es = np.minimum(e, DELTA_ZETA_SERIES)
-    ser = TWO_13 * es * zeta_series_factor(es)
+    ser = TWO_13 * es * _horner(ZETA_SERIES_C, es)
     direct = g_of_e(e) ** (2.0 / 3.0)
     return np.where(e < DELTA_ZETA_SERIES, ser, direct)
 
@@ -443,7 +412,7 @@ def zeta_from_e(e):
 def f_from_e(e):
     """f = zeta/(x^2-1) at x = 1+e on an array; continuous limit 2^(-2/3) at 0."""
     e = np.asarray(e, dtype=np.float64)
-    ser = TWO_M23 * f_series_factor(np.minimum(e, DELTA_F_SERIES))
+    ser = TWO_M23 * _horner(F_SERIES_C, np.minimum(e, DELTA_F_SERIES))
     small = e < DELTA_F_SERIES
     denom = np.where(small, 1.0, e * (2.0 + e))
     direct = g_of_e(e) ** (2.0 / 3.0) / denom

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _kernels, quadrature, specfun
-from .asymptotics import (F_INFINITY, _asymptotic_terms, big_f_n_values,
-                          f_of_x, zeta_of_x_values)
+from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms,
+                          big_f_n_values, f_of_x, zeta_of_x_values)
 
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
@@ -99,8 +99,9 @@ def lemma_check(x_max, grid_size):
     2 ulp slack and the exact 2^(-2/3) left endpoint.
     """
     x_max = float(x_max)
-    if not (x_max > 1.0 and math.isfinite(x_max)):
-        raise ValueError("x_max must be finite and exceed 1")
+    if not 1.0 < x_max <= X_MAX:
+        raise ValueError("x_max must exceed 1 and be at most X_MAX = %g"
+                         % X_MAX)
     grid_size = int(grid_size)
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")

@@ -23,7 +23,7 @@ from .quadrature import TunnelingResult
 
 __all__ = [
     "ZetaPoint", "OlverApprox", "IterationLimitError",
-    "C1", "C2", "F_INFINITY",
+    "C1", "C2", "F_INFINITY", "X_MAX", "ZETA_MAX",
     "zeta_of_x", "zeta_of_x_values", "x_of_zeta",
     "f_of_x", "f_of_x_values", "f_n", "big_f_n", "big_f_n_values",
     "leading_term", "second_order", "olver_approx",
@@ -37,6 +37,13 @@ _T_AIRY_SQ_INTEGRAL = -specfun.GAMMA.ai_zero * specfun.GAMMA.ai_prime_zero / 3.0
 C1 = 2.0 / (3.0 ** (2.0 / 3.0) * specfun.GAMMA.gamma_one_third ** 2)
 C2 = 0.4 * _T_AIRY_SQ_INTEGRAL
 F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
+
+# The map's domain: x^2 - 1 = e(2 + e) overflows a double from x ~ 1.34e154
+# on, and the inverse's seed 4 zeta^(3/2) from x ~ 7.7e153.  So x stops at
+# X_MAX and zeta at its image ZETA_MAX = zeta_of_x(X_MAX).zeta, which a test
+# checks.
+X_MAX = 1e153
+ZETA_MAX = 8.254818122236351e+203
 
 # F_n depends on n only through s = nu^(-4/3) = (2n+1)^(-2/3), which runs
 # over (0, 3^(-2/3)] for n >= 1, and F(s) is smooth on [0, 3^(-2/3)] with
@@ -96,13 +103,20 @@ def _check_x(x):
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    if x < 1.0:
-        raise ValueError("x must be >= 1, got %g" % x)
+    if not 1.0 <= x <= X_MAX:
+        raise ValueError("x must be in [1, X_MAX = %g], got %g" % (X_MAX, x))
     return x
 
 
+def _x_values(x):
+    arr = np.asarray(x, dtype=np.float64)
+    if not ((arr >= 1.0) & (arr <= X_MAX)).all():
+        raise ValueError("x must be finite and in [1, X_MAX = %g]" % X_MAX)
+    return arr
+
+
 def zeta_of_x(x):
-    """Map x >= 1 to zeta, switching to a series for x - 1 below 1e-3.
+    """Map x in [1, X_MAX] to zeta, switching to a series for x - 1 below 1e-3.
 
     The direct formula loses about two thirds of its digits to cancellation
     as x -> 1; the series regime restores full precision and the two paths
@@ -116,24 +130,23 @@ def zeta_of_x(x):
 
 
 def zeta_of_x_values(x):
-    """zeta on an array of x >= 1; figure plumbing."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or (arr < 1.0).any():
-        raise ValueError("x must be finite and >= 1")
-    return _kernels.zeta_from_e(arr - 1.0)
+    """zeta on an array of x in [1, X_MAX]; figure plumbing."""
+    return _kernels.zeta_from_e(_x_values(x) - 1.0)
 
 
 def x_of_zeta(zeta):
     """Invert the map: the unique x >= 1 with zeta_of_x(x) = zeta.
 
     Safeguarded Newton seeded from the series inverse; the residual meets
-    1e-12 * max(1, zeta).  Raises IterationLimitError past 100 steps.
+    1e-12 * max(1, zeta).  zeta must lie in [0, ZETA_MAX].  Raises
+    IterationLimitError past 100 steps, which no such zeta takes.
     """
     zeta = float(zeta)
     if not math.isfinite(zeta):
         raise ValueError("zeta must be finite")
-    if zeta < 0.0:
-        raise ValueError("zeta must be >= 0, got %g" % zeta)
+    if not 0.0 <= zeta <= ZETA_MAX:
+        raise ValueError("zeta must be in [0, ZETA_MAX = %.17g], the image of "
+                         "X_MAX, got %g" % (ZETA_MAX, zeta))
     e, ok = _kernels.invert_zeta_values(np.array([zeta]))
     if not ok:
         raise IterationLimitError("inversion stalled at zeta=%g" % zeta)
@@ -150,21 +163,22 @@ def f_of_x(x):
 
 
 def f_of_x_values(x):
-    """f on an array of x >= 1; sweep plumbing."""
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or (arr < 1.0).any():
-        raise ValueError("x must be finite and >= 1")
-    return _kernels.f_from_e(arr - 1.0)
+    """f on an array of x in [1, X_MAX]; sweep plumbing."""
+    return _kernels.f_from_e(_x_values(x) - 1.0)
 
 
 def f_n(n, t):
-    """f evaluated at the x corresponding to zeta = nu^(-4/3) t."""
+    """f evaluated at the x corresponding to zeta = nu^(-4/3) t <= ZETA_MAX."""
     levels = specfun._check_levels([n])
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
     nu23 = specfun._nu23_of_levels(levels)
-    e, ok = _kernels.invert_zeta_values(1.0 / (nu23 * nu23) * t)
+    zeta = 1.0 / (nu23 * nu23) * t
+    if zeta[0] > ZETA_MAX:
+        raise ValueError("t = %g maps to zeta = %g, past ZETA_MAX = %.17g, "
+                         "the image of X_MAX" % (t, zeta[0], ZETA_MAX))
+    e, ok = _kernels.invert_zeta_values(zeta)
     if not ok:
         raise IterationLimitError("inversion stalled at t=%g" % t)
     return float(_kernels.f_from_e(e)[0])

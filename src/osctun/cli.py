@@ -32,7 +32,7 @@ __all__ = ["main", "entry"]
 # A range lists at most this many levels, which bounds a sweep's work.
 _MAX_RANGE_LEVELS = 10 ** 6
 # lemma holds about ten float arrays of --grid points; at 10^6 the process
-# peaked at 92 MB.  Above --x-max 1.3e154 e(2+e) overflows; 1e30 keeps
+# peaked at 92 MB.  The map stops at asymptotics.X_MAX = 1e153; 1e30 keeps
 # every step finite with room to spare.
 _MAX_LEMMA_GRID = 10 ** 6
 _MAX_LEMMA_X = 1e30

@@ -143,7 +143,8 @@ class TestZetaMap:
         # Series and direct formulas evaluated at the same point near the
         # switch must agree to 1e-12 relative.
         e = _kernels.DELTA_ZETA_SERIES
-        ser = _kernels.TWO_13 * e * float(_kernels.zeta_series_factor(e))
+        ser = _kernels.TWO_13 * e * float(
+            _kernels._horner(_kernels.ZETA_SERIES_C, e))
         direct = float(_kernels.g_of_e(np.float64(e))) ** (2.0 / 3.0)
         assert abs(ser - direct) < 1e-12 * direct
 
@@ -203,6 +204,54 @@ class TestInverseMap:
             x_of_zeta(-1e-9)
 
 
+class TestMapDomain:
+    """x stops at X_MAX, where x^2 - 1 still fits a double, and zeta at its
+    image ZETA_MAX; past them every route raises ValueError naming the limit
+    instead of returning nan or failing to converge."""
+
+    X_ROUTES = [lambda x: zeta_of_x(x).zeta, f_of_x,
+                lambda x: float(zeta_of_x_values([2.0, x])[1]),
+                lambda x: float(f_of_x_values([2.0, x])[1]),
+                lambda x: olver_approx(100, x).rhs_value]
+
+    @pytest.mark.parametrize("route", X_ROUTES,
+                             ids=["zeta_of_x", "f_of_x", "zeta_of_x_values",
+                                  "f_of_x_values", "olver_approx"])
+    def test_x_routes(self, route):
+        assert math.isfinite(route(asymptotics.X_MAX))
+        for x in (np.nextafter(asymptotics.X_MAX, math.inf), 1e155):
+            with pytest.raises(ValueError, match="X_MAX"):
+                route(x)
+
+    def test_zeta_max_is_the_image(self):
+        zmax = asymptotics.ZETA_MAX
+        assert zeta_of_x(asymptotics.X_MAX).zeta == zmax
+        assert abs(x_of_zeta(zmax) / asymptotics.X_MAX - 1.0) < 1e-12
+        for zeta in (np.nextafter(zmax, math.inf), 2e205, 1e300):
+            with pytest.raises(ValueError, match="ZETA_MAX"):
+                x_of_zeta(zeta)
+
+    def test_f_n(self):
+        n = 10 ** 6
+        nu23 = float(specfun._nu23_of_levels([n])[0])
+        t_max = asymptotics.ZETA_MAX * nu23 * nu23
+        assert 0.0 < f_n(n, t_max * (1.0 - 1e-12)) < 1e-100
+        for t in (t_max * (1.0 + 1e-12), 1e300):
+            with pytest.raises(ValueError, match="ZETA_MAX"):
+                f_n(n, t)
+
+    def test_lemma_check(self):
+        from osctun import analysis
+        assert analysis.lemma_check(asymptotics.X_MAX, 100).passed
+        with pytest.raises(ValueError, match="X_MAX"):
+            analysis.lemma_check(np.nextafter(asymptotics.X_MAX, math.inf), 100)
+
+    def test_large_zeta_does_not_overflow_the_series_seed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(zeta_of_x(x_of_zeta(1e39)).zeta / 1e39 - 1.0) < 1e-12
+
+
 class TestProfileFunction:
     def test_left_endpoint(self):
         assert abs(f_of_x(1.0) - 2.0 ** (-2.0 / 3.0)) < 1e-15
@@ -221,7 +270,8 @@ class TestProfileFunction:
 
     def test_seam_continuity(self):
         e = _kernels.DELTA_F_SERIES
-        ser = _kernels.TWO_M23 * float(_kernels.f_series_factor(e))
+        ser = _kernels.TWO_M23 * float(
+            _kernels._horner(_kernels.F_SERIES_C, e))
         direct = (float(_kernels.g_of_e(np.float64(e))) ** (2.0 / 3.0)
                   / (e * (2.0 + e)))
         assert abs(ser - direct) < 1e-12 * direct

@@ -136,11 +136,12 @@ class TestAiry:
         assert rel.max() < 1e-10
 
     def test_prime_against_mpmath(self):
+        # The bound the docstring states, with about threefold headroom.
         mpmath.mp.dps = 30
-        for t in np.linspace(0.0, 50.0, 101):
+        for t in np.linspace(-2.0, 50.0, 105):
             got = specfun.airy_ai_prime(float(t))
             want = float(mpmath.airyai(mpmath.mpf(float(t)), 1))
-            assert abs(got - want) <= 1e-10 * max(abs(want), 1e-300)
+            assert abs(got - want) <= 2e-13 * max(abs(want), 1e-300)
 
     def test_ode_residual_by_rk4(self):
         # March u'' = t u from the origin seeds with RK4 and compare the
