@@ -18,16 +18,17 @@ Prints five tables, the first four each the best of --repeats runs:
    compare --n-range 513:612, each writing its CSV into a temporary
    directory, split into parts: building the parser uncached
    (cli._build_parser.__wrapped__), parsing argv with the cached parser,
-   the table's columns (analysis._ratio_columns or
-   analysis._comparison_columns), the block writer cli._csv_columns on
+   the table's columns (analysis.ratio_table or
+   analysis.comparison_table), the block writer cli._csv_columns on
    them, staging (cli._run with the finished text, which checks the
    tolerances and writes and replaces the file), and the whole cli.main
    call, whose parser is built once and then reused.  main is about
    parse + columns + write + stage; a one-shot process pays the build on
    top.
 4. The CSV text of figure 2 and of the compare table over 513..612: the
-   block writer (cli._csv, one %-template per table) against a join of
-   cli._fmt cell by cell, which prints the same bytes, per float cell.
+   block writer (cli._csv_columns, one %-template per table) against a
+   join of cli._fmt cell by cell, which prints the same bytes, per float
+   cell.
 5. The 10^6-level sweeps exact --n-range 1:1000000 and compare over the
    same range, each as one fresh process writing into a temporary
    directory: wall time, and the child's peak resident set
@@ -104,21 +105,21 @@ def sweep_table(repeats):
 
 
 def cli_table(repeats):
-    calls = [("fn 105:203", ["fn", "--n-range", "105:203"], ("n", "ratio"),
-              analysis._ratio_columns),
+    calls = [("fn 105:203", ["fn", "--n-range", "105:203"],
+              analysis.ratio_table),
              ("compare 513:612", ["compare", "--n-range", "513:612"],
-              analysis._COMPARISON_COLUMNS, analysis._comparison_columns)]
+              analysis.comparison_table)]
     print("\nCLI calls in process: best of %d runs" % repeats)
     print("%-16s %10s %10s %12s %10s %10s %10s"
           % ("call", "build [ms]", "parse [ms]", "columns [ms]", "write [ms]",
              "stage [ms]", "main [ms]"))
     parser = cli._build_parser()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv, header, columns_of in calls:
+        for name, argv, table in calls:
             argv = argv + ["--out", os.path.join(tmp, "out.csv")]
             args = parser.parse_args(argv)
             levels = list(args.levels)
-            columns = columns_of(levels)
+            header, columns = table(levels)
             text = cli._csv_columns(header, columns)
             staged = argparse.Namespace(**vars(args))
             staged.handler = lambda _: [text]
@@ -126,7 +127,7 @@ def cli_table(repeats):
                 raise SystemExit("%s failed" % name)
             times = [best_of(repeats, cli._build_parser.__wrapped__),
                      best_of(repeats, parser.parse_args, argv),
-                     best_of(repeats, columns_of, levels),
+                     best_of(repeats, table, levels),
                      best_of(repeats, cli._csv_columns, header, columns),
                      best_of(repeats, cli._run, staged),
                      best_of(repeats, cli.main, argv)]
@@ -142,17 +143,18 @@ def _per_cell(columns, rows):
 
 def writer_table(repeats):
     fig2 = analysis.figure_dataset(2)
-    tables = [("fig 2", (fig2.columns, fig2.rows)),
+    tables = [("fig 2", (fig2.columns, fig2.values)),
               ("compare 513:612", analysis.comparison_table(range(513, 613)))]
     print("\nCSV text per float cell: best of %d runs" % repeats)
     print("%-16s %8s %12s %12s" % ("table", "cells", "block [us]",
                                    "per-cell [us]"))
-    for name, (columns, rows) in tables:
-        cells = sum(isinstance(v, float) for row in rows for v in row)
-        if cli._csv(columns, rows) != _per_cell(columns, rows):
+    for name, (header, columns) in tables:
+        rows = list(zip(*columns))
+        cells = sum(len(c) for c in columns if isinstance(c, np.ndarray))
+        if cli._csv_columns(header, columns) != _per_cell(header, rows):
             raise SystemExit("block writer and _fmt disagree on %s" % name)
-        t_block = best_of(repeats, cli._csv, columns, rows)
-        t_cell = best_of(repeats, _per_cell, columns, rows)
+        t_block = best_of(repeats, cli._csv_columns, header, columns)
+        t_cell = best_of(repeats, _per_cell, header, rows)
         print("%-16s %8d %12.3f %12.3f" % (name, cells, 1e6 * t_block / cells,
                                           1e6 * t_cell / cells))
 

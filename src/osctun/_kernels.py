@@ -405,8 +405,10 @@ def zeta_from_e(e):
     # The series sees no e above its seam, so a large e cannot overflow it.
     es = np.minimum(e, DELTA_ZETA_SERIES)
     ser = TWO_13 * es * _horner(ZETA_SERIES_C, es)
-    direct = g_of_e(e) ** (2.0 / 3.0)
-    return np.where(e < DELTA_ZETA_SERIES, ser, direct)
+    # g^(2/3) as cbrt(g) squared: g ** (2.0 / 3.0) would err by about
+    # 3.7e-17 ln g relative (2.6e-14 at x = 1e153), as 2.0 / 3.0 does.
+    c = np.cbrt(g_of_e(e))
+    return np.where(e < DELTA_ZETA_SERIES, ser, c * c)
 
 
 def f_from_e(e):
@@ -415,5 +417,4 @@ def f_from_e(e):
     ser = TWO_M23 * _horner(F_SERIES_C, np.minimum(e, DELTA_F_SERIES))
     small = e < DELTA_F_SERIES
     denom = np.where(small, 1.0, e * (2.0 + e))
-    direct = g_of_e(e) ** (2.0 / 3.0) / denom
-    return np.where(small, ser, direct)
+    return np.where(small, ser, zeta_from_e(e) / denom)

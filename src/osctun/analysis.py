@@ -1,9 +1,11 @@
 """Validation sweeps: formula comparisons, the monotonicity lemma, figures.
 
 Everything here is deterministic: the same inputs produce bit-identical
-tables, so CSV output downstream is reproducible.  The comparison and
-ratio tables take P_n and F_n as float arrays from one series pass each and
-build no object per level; compare_sweep and ratio_sweep wrap them.
+tables, so CSV output downstream is reproducible.  A table is its column
+names and one column per name: the levels as a list of ints, the values as
+float64 arrays.  The comparison and ratio tables take P_n and F_n from one
+series pass each and build no object per level; compare_sweep and
+ratio_sweep zip their columns into rows.
 """
 
 import math
@@ -46,10 +48,11 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class FigureData:
-    """Tabular dataset behind one figure: column names plus row tuples."""
+    """Tabular dataset behind one figure: column names plus one list or
+    array of values per column."""
     figure_id: int
     columns: tuple
-    rows: list
+    values: list
 
 
 _COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
@@ -58,36 +61,34 @@ _COMPARE_LEVEL_LIMIT = 2 ** 768
 
 
 def compare_sweep(n_values):
-    """One ComparisonRow per n, in input order: comparison_table's rows."""
-    return [ComparisonRow(*row) for row in comparison_table(n_values)[1]]
+    """One ComparisonRow per n, in input order: comparison_table's columns,
+    zipped."""
+    ns, *cols = comparison_table(n_values)[1]
+    return [ComparisonRow(*row)
+            for row in zip(ns, *(c.tolist() for c in cols))]
 
 
 def comparison_table(n_values):
-    """The ComparisonRow field names, and one tuple of those fields per n.
+    """The ComparisonRow field names, and the table as one column per
+    field: the levels as a list of ints, then one float64 array per other
+    field, in input order.
 
     Every n is checked first: 1 <= n < 2^768, past which n^(4/3) overflows.
     p_leading and p_second have the bits of leading_term and second_order;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     """
-    ns, *cols = _comparison_columns(n_values)
-    return _COMPARISON_COLUMNS, list(zip(ns, *(c.tolist() for c in cols)))
-
-
-def _comparison_columns(n_values):
-    """comparison_table as columns: the levels as a list of ints, then one
-    float64 array per other field."""
     ns = [int(n) for n in specfun._check_levels(n_values)]
     if ns and min(ns) < 1:
         raise ValueError("comparison requires n >= 1, got %d" % min(ns))
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
     p = quadrature._tunneling_arrays(ns)[0]
-    terms = np.array([_asymptotic_terms(n) for n in ns], dtype=np.float64)
-    lead, sec = terms.reshape(len(ns), 2).T
+    lead, sec = _asymptotic_terms(ns)
     err_sec = np.abs(p - sec)
     # Python's pow, as in _asymptotic_terms, and one rounding per product.
     n43 = np.array([float(n) ** (4.0 / 3.0) for n in ns], dtype=np.float64)
-    return [ns, p, lead, sec, np.abs(p - lead), err_sec, err_sec * n43]
+    return _COMPARISON_COLUMNS, [ns, p, lead, sec, np.abs(p - lead), err_sec,
+                                 err_sec * n43]
 
 
 def lemma_check(x_max, grid_size):
@@ -123,25 +124,21 @@ def lemma_check(x_max, grid_size):
 
 
 def ratio_table(n_values):
-    """The ratios F_infinity / F_n as (columns, rows): ("n", "ratio") and one
-    (n, ratio) pair per n, in input order, from one big_f_n_values call."""
-    ns, ratios = _ratio_columns(n_values)
-    return ("n", "ratio"), list(zip(ns, ratios.tolist()))
-
-
-def _ratio_columns(n_values):
-    """ratio_table as columns: the levels as a list, the ratios as an array."""
+    """The ratios F_infinity / F_n as ("n", "ratio") and two columns: the
+    levels as a list, in input order, and the ratios as a float64 array
+    from one big_f_n_values call."""
     ns = list(n_values)
-    return [ns, F_INFINITY / big_f_n_values(ns)]
+    return ("n", "ratio"), [ns, F_INFINITY / big_f_n_values(ns)]
 
 
 def ratio_sweep(n_min, n_max):
-    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max: the rows of
-    ratio_table."""
+    """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max: ratio_table's
+    columns, zipped."""
     specfun._check_levels([n_min, n_max])
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
-    return ratio_table(range(n_min, n_max + 1))[1]
+    ns, ratios = ratio_table(range(n_min, n_max + 1))[1]
+    return list(zip(ns, ratios.tolist()))
 
 
 def _figure_one():
@@ -149,14 +146,14 @@ def _figure_one():
     nu = math.sqrt(2.0 * n + 1.0)
     u = np.linspace(-u_max, u_max, points)
     dens = nu * specfun.hermite_psi_squared(n, nu * u)
-    rows = [("density", float(ui), float(di)) for ui, di in zip(u, dens)]
-    inside = np.abs(u) < 1.0
-    for ui in u[inside]:
-        rows.append(("classical", float(ui),
-                     1.0 / (math.pi * math.sqrt(1.0 - ui * ui))))
-    p = quadrature._tunneling_arrays(list(range(n + 1)))[0].tolist()
-    rows.extend(("tunneling", float(k), pk) for k, pk in enumerate(p))
-    return ("series", "x", "y"), rows
+    inside = u[np.abs(u) < 1.0]
+    classical = 1.0 / (math.pi * np.sqrt(1.0 - inside * inside))
+    p = quadrature._tunneling_arrays(list(range(n + 1)))[0]
+    series = (["density"] * points + ["classical"] * len(inside)
+              + ["tunneling"] * (n + 1))
+    x = np.concatenate([u, inside, np.arange(n + 1, dtype=np.float64)])
+    return ("series", "x", "y"), [series, x,
+                                  np.concatenate([dens, classical, p])]
 
 
 def _figure_three():
@@ -164,10 +161,8 @@ def _figure_three():
     ratio = np.arange(points) / (points - 1.0)
     e = 1e-4 * ((x_max - 1.0) / 1e-4) ** ratio
     x = 1.0 + e
-    zeta = zeta_of_x_values(x)
-    rows = [(1.0, 0.0)]
-    rows.extend((float(xi), float(zi)) for xi, zi in zip(x, zeta))
-    return ("x", "zeta"), rows
+    return ("x", "zeta"), [np.concatenate([[1.0], x]),
+                           np.concatenate([[0.0], zeta_of_x_values(x)])]
 
 
 def figure_dataset(figure_id):

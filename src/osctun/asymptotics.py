@@ -43,7 +43,7 @@ F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 # X_MAX and zeta at its image ZETA_MAX = zeta_of_x(X_MAX).zeta, which a test
 # checks.
 X_MAX = 1e153
-ZETA_MAX = 8.254818122236351e+203
+ZETA_MAX = 8.254818122236567e+203
 
 # F_n depends on n only through s = nu^(-4/3) = (2n+1)^(-2/3), which runs
 # over (0, 3^(-2/3)] for n >= 1, and F(s) is smooth on [0, 3^(-2/3)] with
@@ -220,12 +220,13 @@ def big_f_n_values(ns):
     return _kernels.chebyshev_of_s(_BIG_F_CHEBYSHEV, 1.0 / (nu23 * nu23))
 
 
-def _asymptotic_terms(n):
-    """C1 n^(-1/3) and C1 n^(-1/3) - C2/n, the one formula for both, with
-    Python's pow: numpy's vector power differs in the last bit at some n."""
-    x = float(n)
-    lead = C1 * x ** (-1.0 / 3.0)
-    return lead, lead - C2 / x
+def _asymptotic_terms(ns):
+    """C1 n^(-1/3) and C1 n^(-1/3) - C2/n as two float64 arrays over the
+    levels ns, the one formula for both.  n^(-1/3) takes Python's pow level
+    by level: numpy's vector power differs in the last bit at some n."""
+    x = [float(n) for n in ns]
+    lead = C1 * np.array([v ** (-1.0 / 3.0) for v in x], dtype=np.float64)
+    return lead, lead - C2 / np.array(x, dtype=np.float64)
 
 
 def leading_term(n):
@@ -236,7 +237,7 @@ def leading_term(n):
     under-claims, since the next term has the same sign as the first.
     """
     n = _check_order(n)
-    value = _asymptotic_terms(n)[0]
+    value = float(_asymptotic_terms([n])[0][0])
     return TunnelingResult(n=n, value=value, method="leading",
                            err_estimate=C2 / n + C1 * float(n) ** (-4.0 / 3.0))
 
@@ -247,7 +248,7 @@ def second_order(n):
     err_estimate scales as the next omitted order n^(-4/3).
     """
     n = _check_order(n)
-    value = _asymptotic_terms(n)[1]
+    value = float(_asymptotic_terms([n])[1][0])
     return TunnelingResult(n=n, value=value, method="second-order",
                            err_estimate=C1 * float(n) ** (-4.0 / 3.0))
 

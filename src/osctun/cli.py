@@ -5,12 +5,13 @@ kept; an exact integer below 1e15 prints bare, and a float that rounds to
 12 or more integer digits (from 1e11 up) prints %.11e.  Comma delimiter,
 dot decimal separator, LF line endings; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
-failure.  Every level is checked before any is computed.  A sweep is then
-computed and written in blocks of levels, to stdout or to a temporary file
-beside --out (and the gnuplot script's); the targets are replaced only once
-every file is written, so a failed run leaves no partial file and leaves
-existing files untouched.  A target that exists and is not a regular file
-(a device, FIFO or socket) is written in place instead of replaced.
+failure, 143 stopped by SIGTERM.  Every level is checked before any is
+computed.  A sweep is then computed and written in blocks of levels, to
+stdout or to a temporary file beside --out (and the gnuplot script's); the
+targets are replaced only once every file is written, so a failed run
+leaves no partial file and leaves existing files untouched.  A target
+that exists and is not a regular file (a device, FIFO or socket) is
+written in place instead of replaced.
 """
 
 import argparse
@@ -67,18 +68,18 @@ _TEMPLATE_BELOW = 99999999999.9
 _BLOCK_LEVELS = 2 ** 15
 
 
-def _csv_columns(header, data):
+def _csv_columns(header, data, head=True):
     """The CSV text of one block of rows given as columns, headed by the
-    header line unless header is None.
+    header line if head.
 
     Each column gets one conversion of the table's %-template: %#.12g for
-    floats, %d for ints, %s for strings; a column of mixed types is mapped
-    through _fmt first.  One mask finds the rows holding a float that _fmt
+    a float array, %d for ints; any other column is mapped through _fmt
+    and printed %s.  One mask finds the rows holding a float that _fmt
     prints otherwise (not finite, integral, or from about 1e11 up), and
     those rows are joined from _fmt cell by cell, so the text is _fmt's by
     construction.
     """
-    out = [] if header is None else [",".join(header) + "\n"]
+    out = [",".join(header) + "\n"] if head else []
     m = len(data[0]) if data else 0
     if not m:
         return "".join(out)
@@ -88,19 +89,13 @@ def _csv_columns(header, data):
     spec = []
     for j, col in enumerate(data):
         if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            types = {float}
-        else:
-            types = set(map(type, col))
-        if all(issubclass(t, float) for t in types):
-            a = np.asarray(col, dtype=np.float64)
-            special |= ~(np.abs(a) < _TEMPLATE_BELOW) | (a == np.trunc(a))
-            col = a.tolist()
+            special |= ~(np.abs(col) < _TEMPLATE_BELOW) | (col == np.trunc(col))
+            col = col.tolist()
             spec.append("%#.12g")
-        elif all(issubclass(t, (int, np.integer)) for t in types):
+        elif all(issubclass(t, (int, np.integer)) for t in set(map(type, col))):
             spec.append("%d")
         else:
-            if not all(issubclass(t, str) for t in types):
-                col = list(map(_fmt, col))
+            col = list(map(_fmt, col))
             spec.append("%s")
         cells[j::k] = col
     template = ",".join(spec) + "\n"
@@ -115,18 +110,14 @@ def _csv_columns(header, data):
     return "".join(out)
 
 
-def _csv(columns, rows):
-    """The CSV text of rows, headed by the columns line unless columns is
-    None: _csv_columns on the rows' columns."""
-    return _csv_columns(columns, list(zip(*rows)))
-
-
-def _stream(header, levels, block_text):
+def _stream(levels, table):
     """The CSV text of a sweep over levels, in blocks of _BLOCK_LEVELS
-    levels: block_text(header or None, block) computes and formats one."""
+    levels: table(block) computes one block's (header, columns), and the
+    header line heads the first block only.  A block's columns are freed
+    once its text is formatted, before the next block computes its own."""
     for start in range(0, len(levels), _BLOCK_LEVELS):
-        block = list(levels[start:start + _BLOCK_LEVELS])
-        yield block_text(header if start == 0 else None, block)
+        yield _csv_columns(*table(list(levels[start:start + _BLOCK_LEVELS])),
+                           head=start == 0)
 
 
 def _check_fits_double(n):
@@ -178,43 +169,29 @@ class _UsageError(Exception):
 
 
 def _cmd_exact(args):
-    def block_text(header, block):
-        values, errs = quadrature._tunneling_arrays(block)
-        return _csv_columns(header, [block, values, errs])
-
-    return _stream(("n", "p_exact", "err_estimate"), args.levels, block_text)
+    return _stream(args.levels, lambda block: (
+        ("n", "p_exact", "err_estimate"),
+        [block, *quadrature._tunneling_arrays(block)]))
 
 
 def _cmd_asympt(args):
     if args.levels[0] < 1:
         raise _UsageError("asympt requires n >= 1 (the formula diverges at 0)")
-    terms = asymptotics._asymptotic_terms
     k = args.order - 1
-
-    def block_text(header, block):
-        return _csv(header, [(n, terms(n)[k]) for n in block])
-
-    return _stream(("n", "p_asympt"), args.levels, block_text)
+    return _stream(args.levels, lambda block: (
+        ("n", "p_asympt"), [block, asymptotics._asymptotic_terms(block)[k]]))
 
 
 def _cmd_compare(args):
     if args.levels[0] < 1 or args.levels[-1] >= analysis._COMPARE_LEVEL_LIMIT:
         raise _UsageError("compare requires 1 <= n < 2^768 (about 1.55e231)")
-
-    def block_text(header, block):
-        return _csv_columns(header, analysis._comparison_columns(block))
-
-    return _stream(analysis._COMPARISON_COLUMNS, args.levels, block_text)
+    return _stream(args.levels, analysis.comparison_table)
 
 
 def _cmd_fn(args):
     if args.levels[0] < 1:
         raise _UsageError("fn requires n >= 1")
-
-    def block_text(header, block):
-        return _csv_columns(header, analysis._ratio_columns(block))
-
-    return _stream(("n", "ratio"), args.levels, block_text)
+    return _stream(args.levels, analysis.ratio_table)
 
 
 def _cmd_lemma(args):
@@ -270,7 +247,7 @@ def _cmd_fig(args):
         raise _UsageError("--emit-plot-script needs --out FILE for the "
                           "script to reference")
     data = analysis.figure_dataset(args.id)
-    return [_csv(data.columns, data.rows)]
+    return [_csv_columns(data.columns, data.values)]
 
 
 def _open_temp(path):
@@ -462,6 +439,12 @@ def main(argv=None):
 
 
 def entry():
+    # SIGTERM's default action runs no Python code, so it would leave a
+    # staged temp file; as SystemExit(143) it unwinds through _run's
+    # cleanup.  main() runs in callers' processes and installs no handler,
+    # and importing signal here spares them its 1 ms import.
+    import signal
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
 
 

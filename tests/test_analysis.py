@@ -67,12 +67,19 @@ class TestCompareSweep:
         # Every cell equals, bit for bit, the one-level library value or
         # the error formula on those values with Python's pow; numpy's
         # power differs from pow in the last bit at some levels, so a
-        # vector pow in the table fails here.
-        columns, rows = analysis.comparison_table(ns)
+        # vector pow in the table fails here.  The table's columns, zipped,
+        # and compare_sweep's rows are both checked.
+        columns, values = analysis.comparison_table(ns)
         assert columns == tuple(f.name for f in
                                 dataclasses.fields(analysis.ComparisonRow))
-        assert len(rows) == len(ns)
-        for n, row in zip(ns, rows):
+        assert values[0] == ns
+        assert all(c.dtype == np.float64 and c.shape == (len(ns),)
+                   for c in values[1:])
+        table_rows = list(zip(ns, *(c.tolist() for c in values[1:])))
+        sweep_rows = [dataclasses.astuple(r)
+                      for r in analysis.compare_sweep(ns)]
+        assert len(table_rows) == len(sweep_rows) == len(ns)
+        for n, row, swept in zip(ns, table_rows, sweep_rows):
             p = quadrature.tunneling_exact_values([n])[0].value
             lead = leading_term(n).value
             sec = second_order(n).value
@@ -80,6 +87,7 @@ class TestCompareSweep:
             want = (n, p, lead, sec, abs(p - lead), err_sec,
                     err_sec * float(n) ** (4.0 / 3.0))
             assert list(map(repr, row)) == list(map(repr, want))
+            assert list(map(repr, swept)) == list(map(repr, want))
 
 
 class TestIntegerLevels:
@@ -164,16 +172,20 @@ class TestRatioSweep:
         assert all(abs(s - mid) <= 0.15 * mid for s in scaled)
 
     def test_sweep_is_the_table_rows(self):
-        columns, rows = analysis.ratio_table(range(6, 40))
+        columns, (ns, ratios) = analysis.ratio_table(range(6, 40))
         assert columns == ("n", "ratio")
-        assert analysis.ratio_sweep(6, 39) == rows
+        rows = analysis.ratio_sweep(6, 39)
+        assert rows == list(zip(ns, ratios.tolist()))
         assert all(type(n) is int and type(r) is float for n, r in rows)
 
     def test_table_has_one_level_bits(self):
         ns = [500, 6, 10 ** 6, 37, 6]
-        columns, rows = analysis.ratio_table(ns)
-        assert rows == [(n, F_INFINITY / big_f_n(n)) for n in ns]
-        assert analysis.ratio_table([]) == (columns, [])
+        columns, (got_ns, ratios) = analysis.ratio_table(ns)
+        assert ratios.dtype == np.float64
+        assert list(zip(got_ns, ratios.tolist())) == [
+            (n, F_INFINITY / big_f_n(n)) for n in ns]
+        empty_columns, (empty_ns, empty) = analysis.ratio_table([])
+        assert (empty_columns, empty_ns, empty.size) == (columns, [], 0)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -191,12 +203,13 @@ class TestFigureDatasets:
     def test_density_figure(self):
         data = analysis.figure_dataset(1)
         assert data.columns == ("series", "x", "y")
-        classical = [(x, y) for s, x, y in data.rows if s == "classical"]
+        rows = list(zip(*data.values))
+        classical = [(x, y) for s, x, y in rows if s == "classical"]
         at_zero = [y for x, y in classical if x == 0.0]
         assert len(at_zero) == 1
         assert abs(at_zero[0] - 1.0 / math.pi) < 1e-14
         assert all(abs(x) < 1.0 for x, _ in classical)
-        tunneling = [(x, y) for s, x, y in data.rows if s == "tunneling"]
+        tunneling = [(x, y) for s, x, y in rows if s == "tunneling"]
         assert len(tunneling) == 41
         probs = [y for _, y in tunneling]
         assert all(a > b for a, b in zip(probs, probs[1:]))
@@ -214,22 +227,25 @@ class TestFigureDatasets:
     def test_map_figure(self):
         data = analysis.figure_dataset(3)
         assert data.columns == ("x", "zeta")
-        assert data.rows[0] == (1.0, 0.0)
-        assert len(data.rows) == 401
-        zs = [z for _, z in data.rows]
+        rows = list(zip(*data.values))
+        assert rows[0] == (1.0, 0.0)
+        assert len(rows) == 401
+        zs = [z for _, z in rows]
         assert all(a < b for a, b in zip(zs, zs[1:]))
 
     def test_ratio_figure_row_count(self):
         data = analysis.figure_dataset(4)
         assert data.columns == ("n", "ratio")
-        assert len(data.rows) == 495
-        assert data.rows[0][0] == 6
-        assert data.rows[-1][0] == 500
+        rows = list(zip(*data.values))
+        assert len(rows) == 495
+        assert rows[0][0] == 6
+        assert rows[-1][0] == 500
 
     def test_comparison_figures(self):
         data = analysis.figure_dataset(5)
-        assert len(data.rows) == 100
-        ns = [row[0] for row in data.rows]
+        rows = list(zip(*data.values))
+        assert len(rows) == 100
+        ns = [row[0] for row in rows]
         assert ns[0] == 513 and ns[-1] == 612
-        for row in data.rows:
+        for row in rows:
             assert row[5] < row[4]  # err_second below err_leading

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import shlex
+import signal
 import stat
 import subprocess
 import sys
@@ -86,15 +87,15 @@ class TestGoldenRows:
     ], ids=["1:2000", "1e300", "largest"])
     def test_asympt_rows_are_the_library_values(self, capsys, monkeypatch,
                                                 order, term, levels, ns):
-        # The rows, before formatting, carry the bits of leading_term and
-        # second_order: both take their values from one formula.
+        # The columns, before formatting, carry the bits of leading_term
+        # and second_order: both take their values from one formula.
         seen = []
 
-        def keep(columns, rows):
-            seen.extend(rows)
+        def keep(header, columns, head=True):
+            seen.extend(zip(columns[0], columns[1].tolist()))
             return ""
 
-        monkeypatch.setattr(cli, "_csv", keep)
+        monkeypatch.setattr(cli, "_csv_columns", keep)
         code, _, _ = run_cli(capsys, ["asympt", "--order", str(order)]
                              + levels)
         assert code == 0
@@ -500,6 +501,20 @@ class TestOutputPlumbing:
         assert code == 0
         assert one == ranged
 
+    @pytest.mark.parametrize("fig_id, argv", [
+        (2, ["compare", "--n-range", "5:612"]),
+        (4, ["fn", "--n-range", "6:500"]),
+        (5, ["compare", "--n-range", "513:612"]),
+    ])
+    def test_figure_is_its_sweep(self, capsys, fig_id, argv):
+        # One builder and one writer per table: a figure's CSV is the
+        # sweep's over the same levels.
+        code, fig, _ = run_cli(capsys, ["fig", "--id", str(fig_id)])
+        assert code == 0
+        code, sweep, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert fig == sweep
+
     def test_byte_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -795,7 +810,7 @@ class TestBlockWriter:
                                   max_size=30))
         header = tuple("c%d" % j for j in range(len(names)))
         want = per_cell_csv(header, rows)
-        assert cli._csv(header, rows) == want
+        assert cli._csv_columns(header, list(zip(*rows))) == want
         # Float columns may also come as arrays, as the sweeps pass them.
         columns = [np.array(c, dtype=np.float64) if k == "float" else list(c)
                    for k, c in zip(names, zip(*rows))] if rows else []
@@ -962,3 +977,39 @@ class TestSubprocessEntry:
         res = subprocess.run([sys.executable, "-m", "osctun.cli", "exact"],
                              capture_output=True, text=True, env=child_env)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_sigterm_removes_the_staged_file(self, tmp_path, child_env,
+                                             existing):
+        # SIGTERM once the first block is being written to the staged
+        # file: the child exits 143, removes its temp file, and neither
+        # makes nor replaces the target.  (A signal in the microseconds
+        # between the temp file's creation and its entry on _run's list
+        # of staged files would still leave it.)
+        out = tmp_path / "p.csv"
+        if existing:
+            out.write_text("keep me\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "osctun.cli", "compare", "--n-range",
+             "1:1000000", "--out", str(out)], env=child_env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not any(name.endswith(".tmp") and (tmp_path / name)
+                          .stat().st_size > 0
+                          for name in os.listdir(tmp_path)):
+                assert proc.poll() is None, "the sweep ended unstaged"
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert code == 143
+        if existing:
+            assert os.listdir(tmp_path) == ["p.csv"]
+            assert out.read_text() == "keep me\n"
+        else:
+            assert os.listdir(tmp_path) == []
