@@ -4,14 +4,13 @@ A float prints as C's %#.12g, 12 significant digits with trailing zeros
 kept; an exact integer below 1e15 prints bare, and a float that rounds to
 12 or more integer digits (from 1e11 up) prints %.11e.  Comma delimiter,
 dot decimal separator, LF line endings; identical invocations produce
-byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
-failure, 143 stopped by SIGTERM.  Every level is checked before any is
-computed.  A sweep is then computed and written in blocks of levels, to
-stdout or to a temporary file beside --out (and the gnuplot script's); the
-targets are replaced only once every file is written, so a failed run
-leaves no partial file and leaves existing files untouched.  A target
-that exists and is not a regular file (a device, FIFO or socket) is
-written in place instead of replaced.
+byte-identical output.  Exit codes: 0 success, 2 usage error or failed
+write, 3 numerical failure, 143 stopped by SIGTERM.  Every level is
+checked before any is computed; a sweep is then computed and written in
+blocks of levels.  A file is staged beside its target, which is replaced
+only once every file is written, so a failed run leaves no partial file
+and leaves existing files untouched.  Stdout, and a target that is not a
+regular file (a device, FIFO or socket), is written in place after that.
 """
 
 import argparse
@@ -21,7 +20,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -250,16 +248,17 @@ def _cmd_fig(args):
     return [_csv_columns(data.columns, data.values)]
 
 
-def _open_temp(path):
-    """(file, temp path, target) for staging the text of path.
+def _stage(path):
+    """(temp path, target, mode) for the text of path; makes no file.
 
-    target is the file path names, with a symlink resolved.  The new file
-    sits beside it, with the mode open(target, "w") gives.  A target that
-    exists and is not a regular file (a device, FIFO or socket) cannot be
-    replaced without destroying it, so it is written in place later: then
-    the file and temp path are None.  Raises IsADirectoryError, as open
-    would, when target is a directory.
+    target is path with a symlink resolved, and mode its permission bits,
+    or None if it is new (then the umask sets them).  The temp path is a
+    hidden name beside target, or None for stdout ("-") and an existing
+    device, FIFO or socket, which are written in place, since replacing
+    them would destroy them.  Raises IsADirectoryError, as open would.
     """
+    if path == "-":
+        return None, path, None
     target = path
     try:
         st = os.lstat(path)
@@ -268,24 +267,16 @@ def _open_temp(path):
             target = os.path.realpath(path)
             st = os.stat(target)
     except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = None
     else:
         if stat.S_ISDIR(st.st_mode):
             raise IsADirectoryError("is a directory")
         if not stat.S_ISREG(st.st_mode):
-            return None, None, target
+            return None, target, None
         mode = stat.S_IMODE(st.st_mode)
-    fd, tmp = tempfile.mkstemp(prefix="." + os.path.basename(target) + ".",
-                               suffix=".tmp", dir=os.path.dirname(target))
-    os.fchmod(fd, mode)
-    return os.fdopen(fd, "w", newline=""), tmp, target
-
-
-def _numerical_failure(exc):
-    print("numerical failure: %s" % exc, file=sys.stderr)
-    return 3
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, ".%s.%s.tmp" % (name, os.urandom(8).hex()))
+    return tmp, target, mode
 
 
 def _run(args):
@@ -293,64 +284,67 @@ def _run(args):
 
     A handler checks its input and returns the output as an iterable of
     text blocks (and an exit code, if not 0), which may compute as they
-    are iterated.  The first block is computed before any file is opened.
-    File output is staged: the targets are replaced only once every block
-    of every file is written, and a failure removes the staged files.
+    are iterated.  The first block is computed before any file is made.
+    A temp path is listed before its file is made and removed at the end,
+    so no failure or signal leaves one.  Targets are replaced once every
+    staged file is written; stdout and non-regular ones are written then.
     """
+    staged, writes, path = [], [], args.out
     try:
         # Every subcommand validates the tolerance flags; none uses them.
         _config(args)
         result = args.handler(args)
         blocks, code = result if isinstance(result, tuple) else (result, 0)
         blocks = iter(blocks)
-        first = next(blocks, "")
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        return _numerical_failure(exc)
-    blocks = itertools.chain([first], blocks)
-    if args.out == "-":
-        try:
-            for block in blocks:
-                sys.stdout.write(block)
-        except ValueError as exc:
-            return _numerical_failure(exc)
-        return code
-    files = [(args.out, blocks)]
-    if getattr(args, "emit_plot_script", False):
-        path, text = _plot_script(args.id, args.out)
-        files.append((path, [text]))
-    staged = []
-    try:
+        files = [(args.out, itertools.chain([next(blocks, "")], blocks))]
+        if getattr(args, "emit_plot_script", False):
+            script, text = _plot_script(args.id, args.out)
+            files.append((script, [text]))
         for path, body in files:
             try:
-                fh, tmp, target = _open_temp(path)
+                tmp, target, mode = _stage(path)
+                if tmp is not None:
+                    staged.append(tmp)
+                    try:
+                        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                                     0o666 if mode is None else mode)
+                    except OSError:
+                        staged.pop()  # no file was made, or not by this run
+                        raise
             except OSError as exc:
                 print("cannot open %s: %s" % (path, exc), file=sys.stderr)
                 return 2
-            staged.append((tmp, target, path, body))
-            if fh is not None:
-                with fh:
-                    fh.writelines(body)
-        while staged:
-            tmp, target, path, body = staged[0]
-            try:
-                if tmp is None:
-                    with open(target, "w", newline="") as fh:
-                        fh.writelines(body)
-                else:
-                    os.replace(tmp, target)
-            except OSError as exc:
-                print("cannot write %s: %s" % (path, exc), file=sys.stderr)
-                return 2
-            staged.pop(0)
-    except ValueError as exc:
-        return _numerical_failure(exc)
-    finally:
-        for tmp, _, _, _ in staged:
             if tmp is not None:
+                with os.fdopen(fd, "w", newline="") as fh:
+                    if mode is not None:
+                        os.fchmod(fd, mode)
+                    fh.writelines(body)
+            writes.append((path, tmp, target, body))
+        for path, tmp, target, body in writes:
+            if tmp is not None:
+                os.replace(tmp, target)
+                staged.remove(tmp)
+            elif target == "-":
+                sys.stdout.writelines(body)
+                sys.stdout.flush()
+            else:
+                with open(target, "w", newline="") as fh:
+                    fh.writelines(body)
+    except _UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("cannot write %s: %s" % (path, exc), file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return 3
+    finally:
+        for tmp in staged:
+            try:
                 os.unlink(tmp)
+            except FileNotFoundError:
+                pass
     return code
 
 
@@ -445,7 +439,13 @@ def entry():
     # and importing signal here spares them its 1 ms import.
     import signal
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout's reader is gone: let the interpreter's last flush pass.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import math
 import os
+import resource
 import shlex
 import signal
 import stat
@@ -153,6 +154,9 @@ class TestUsageErrors:
         ["fig", "--id", "9"],
         ["fig", "--id", "1", "--emit-plot-script"],
         ["nonsense"],
+        ["fn", "--n-range", "0:5"],
+        ["exact", "--n", "x"],
+        ["exact", "--n-range", "5"],
     ])
     def test_exit_two(self, capsys, argv):
         code, _, _ = run_cli(capsys, argv)
@@ -492,6 +496,85 @@ class TestOutputPlumbing:
         capsys.readouterr()
         assert seen == [[]]
         assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_staged_file_is_never_wider_than_the_target(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # Even with no umask to narrow it, the staged file is made with no
+        # permission bit the 0o600 target lacks, and the target keeps its
+        # mode once replaced.
+        made = []
+        real = os.fdopen
+
+        def noting_mode(fd, *args, **kwargs):
+            made.append(stat.S_IMODE(os.fstat(fd).st_mode))
+            return real(fd, *args, **kwargs)
+
+        out = tmp_path / "p.csv"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        monkeypatch.setattr(os, "fdopen", noting_mode)
+        umask = os.umask(0)
+        try:
+            code = main(["exact", "--n", "0", "--out", str(out)])
+        finally:
+            os.umask(umask)
+        capsys.readouterr()
+        assert code == 0
+        assert len(made) == 1
+        assert made[0] & ~0o600 == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_signal_as_the_temp_file_is_made(self, tmp_path, capsys,
+                                             monkeypatch):
+        # SIGTERM, which entry() turns into SystemExit(143), lands the
+        # moment the staged file exists: it is removed all the same.
+        real = os.open
+
+        def open_then_stop(path, flags, *args, **kwargs):
+            fd = real(path, flags, *args, **kwargs)
+            if os.fspath(path).endswith(".tmp"):
+                os.close(fd)
+                raise SystemExit(143)
+            return fd
+
+        out = tmp_path / "p.csv"
+        out.write_text("keep me\n")
+        monkeypatch.setattr(os, "open", open_then_stop)
+        with pytest.raises(SystemExit) as stopped:
+            main(["exact", "--n-range", "0:3", "--out", str(out)])
+        monkeypatch.undo()
+        assert stopped.value.code == 143
+        assert os.listdir(tmp_path) == ["p.csv"]
+        assert out.read_text() == "keep me\n"
+
+    def test_taken_temp_name_is_left_alone(self, tmp_path, capsys,
+                                           monkeypatch):
+        # With its random part fixed, a first run shows the staged name.  A
+        # file that already holds that name is not this run's: the second
+        # run cannot make its staged file (exit 2) and keeps that file.
+        made = []
+        real = os.open
+
+        def noting_name(path, *args, **kwargs):
+            made.append(os.fspath(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "urandom", lambda k: bytes(k))
+        monkeypatch.setattr(os, "open", noting_name)
+        out = tmp_path / "p.csv"
+        argv = ["exact", "--n", "0", "--out", str(out)]
+        assert run_cli(capsys, argv)[0] == 0
+        (taken,) = [path for path in made if path.endswith(".tmp")]
+        out.write_text("keep me\n")
+        with open(taken, "w") as fh:
+            fh.write("not ours\n")
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "cannot open" in err
+        with open(taken) as fh:
+            assert fh.read() == "not ours\n"
+        assert out.read_text() == "keep me\n"
 
     @pytest.mark.parametrize("n", ["0", "1", "612"])
     def test_single_level_matches_range(self, capsys, n):
@@ -983,9 +1066,8 @@ class TestSubprocessEntry:
                                              existing):
         # SIGTERM once the first block is being written to the staged
         # file: the child exits 143, removes its temp file, and neither
-        # makes nor replaces the target.  (A signal in the microseconds
-        # between the temp file's creation and its entry on _run's list
-        # of staged files would still leave it.)
+        # makes nor replaces the target.  (A signal the moment the temp
+        # file is made is test_signal_as_the_temp_file_is_made's case.)
         out = tmp_path / "p.csv"
         if existing:
             out.write_text("keep me\n")
@@ -1013,3 +1095,58 @@ class TestSubprocessEntry:
             assert out.read_text() == "keep me\n"
         else:
             assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, lines", [
+        (["exact", "--n-range", "1:1000000"], 1),
+        (["exact", "--n", "0"], 0),
+    ], ids=["reader-quits-after-a-line", "reader-gone-before-the-first"])
+    def test_closed_stdout_is_exit_two(self, child_env, buffered, argv,
+                                       lines):
+        # A reader that stops reading, as `| head -1` does: one "cannot
+        # write" line and exit 2, from the writes or from the last flush.
+        env = dict(child_env)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "osctun.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert code == 2
+        assert err.startswith("cannot write -: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
+    def test_failed_staged_write_is_exit_two(self, tmp_path, child_env):
+        # A file size limit of 1 MB, set in the child only: the 4 MB staged
+        # write fails with EFBIG (Python ignores SIGXFSZ).  The old file
+        # stays as it was, and no temp file is left.
+        def small_files():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2 ** 20, hard))
+
+        out = tmp_path / "big.csv"
+        out.write_text("keep me\n")
+        res = subprocess.run(
+            [sys.executable, "-m", "osctun.cli", "exact", "--n-range",
+             "1:100000", "--out", str(out)], capture_output=True, text=True,
+            env=child_env, preexec_fn=small_files)
+        assert res.returncode == 2
+        assert res.stderr.startswith("cannot write %s: " % out)
+        assert "File too large" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert out.read_text() == "keep me\n"
+        assert os.listdir(tmp_path) == ["big.csv"]
