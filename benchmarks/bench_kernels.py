@@ -8,12 +8,12 @@ Prints five tables, the first four each the best of --repeats runs:
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
    points.
-2. Multi-level sweeps.  P_n by one pass of the Chebyshev series on the
-   vector of levels (quadrature._tunneling_arrays, which builds no
-   result objects), next to one tunneling_exact call per level, which is
-   timed only on sweeps of at most LOOP_LEVELS levels; the last P_n row
-   is the one level n = 10^6 both ways.  F_n by its Chebyshev series
-   (asymptotics.big_f_n_values).
+2. Multi-level sweeps.  P_n by one pass of the series evaluator on the
+   vector of levels (osctun.series.evaluate on the record series.P,
+   which builds no result objects), next to one tunneling_exact call per
+   level, which is timed only on sweeps of at most LOOP_LEVELS levels;
+   the last P_n row is the one level n = 10^6 both ways.  F_n by the same
+   evaluator on the record series.F.
 3. Two CLI calls made in process, fn --n-range 105:203 and
    compare --n-range 513:612, each writing its CSV into a temporary
    directory, split into parts: building the parser uncached
@@ -45,7 +45,10 @@ import time
 
 import numpy as np
 
-from osctun import _kernels, analysis, asymptotics, cli, quadrature
+# Run from anywhere, the script times the osctun of its own checkout.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+from osctun import _kernels, analysis, cli, quadrature, series  # noqa: E402
 
 # One tunneling_exact call costs about the same at any level, so the loop
 # of one call per level is timed on sweeps of at most this many levels.
@@ -91,7 +94,7 @@ def sweep_table(repeats):
         ("P_n 10^6 alone", range(10 ** 6, 10 ** 6 + 1)),
     ]
     for name, ns in sweeps:
-        t_series = best_of(repeats, quadrature._tunneling_arrays, list(ns))
+        t_series = best_of(repeats, series.evaluate, series.P, list(ns))
         if len(ns) <= LOOP_LEVELS:
             loop = "%12.3f" % (1e3 * best_of(repeats, _loop, ns))
         else:
@@ -100,7 +103,7 @@ def sweep_table(repeats):
     fn_sweeps = [("F_n 6..104", list(range(6, 105))),
                  ("F_n 6..500 (fig 4)", list(range(6, 501)))]
     for name, ns in fn_sweeps:
-        t_series = best_of(repeats, asymptotics.big_f_n_values, ns)
+        t_series = best_of(repeats, series.evaluate, series.F, ns)
         print("%-22s %12.3f %12s" % (name, 1e3 * t_series, "-"))
 
 

@@ -13,16 +13,15 @@ sqrt(2n) (psi_{n-1}^2 - psi_n^2) the tail integral telescopes to
     P_n = erfc(nu) + 2 sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k),
 
 and the identity holds at real order too, so P_n / sqrt(s) is a smooth
-function of s = (2n+1)^(-2/3).  tunneling_exact_values sums a 21-term
-Chebyshev series in s with frozen coefficients (tools/gen_series.py):
-O(1) at any level, err_estimate 4 eps P_n.  It is the one route for P_n:
-tunneling_exact(n) is its one-level case (see osctun.quadrature), and the
-O(n) sum itself is kept only in the tests.  The Airy-weighted integrals
-F_n also depend on n only through s, from the same cube root of 2n+1, and
-come from an 18-term series frozen by the same tool.  Sweeps over n
-(tunneling_exact_values, big_f_n_values) run in one vector pass and
-return the bits of one call per level.  Adaptive Gauss-Kronrod
-quadrature checks both in the tests; no production route runs it.
+function of s = (2n+1)^(-2/3).  So are the Airy-weighted integrals F_n.
+osctun.series is the one home of both: a record per series, with its
+frozen Chebyshev coefficients (tools/gen_series.py) and its err_estimate
+claim, one evaluator, and the one cube root of 2n+1.  Each quantity has
+one route, O(1) at any level: tunneling_exact(n) and big_f_n(n) are the
+one-level cases of tunneling_exact_values and big_f_n_values, whose sweeps
+run in one vector pass and return the bits of one call per level.
+Adaptive Gauss-Kronrod quadrature checks both in the tests; no production
+route runs it.
 """
 
 from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,

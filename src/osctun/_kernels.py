@@ -1,7 +1,8 @@
 """Low-level numerical kernels, vectorized with numpy.
 
 Everything here operates on raw float64 scalars/arrays and performs no input
-validation; the public modules own the contracts.
+validation; the public modules own the contracts.  The frozen P_n and F_n
+series, with their Clenshaw sum, have their one home in osctun.series.
 
 Kernels:
 - hermite_values(n, x):       oscillator eigenfunction psi_n on an x array,
@@ -16,8 +17,6 @@ Kernels:
                               series near e = x - 1 = 0, direct form elsewhere;
                               x^2 - 1 = e(2+e) overflows from x ~ 1.34e154
 - _horner(coeffs, x):         the one Horner sum of the three map series
-- chebyshev_of_s(c, s):       sum of c_k T_k(2s/S_MAX - 1) on an s array by
-                              Clenshaw; the two series of tools/gen_series.py
 """
 
 import math
@@ -33,10 +32,6 @@ INV_LN2 = 1.0 / math.log(2.0)
 TWO_13 = 2.0 ** (1.0 / 3.0)        # 2^(1/3)
 TWO_M13 = 2.0 ** (-1.0 / 3.0)
 TWO_M23 = 2.0 ** (-2.0 / 3.0)      # f at the turning point
-
-# The P_n and F_n series in s = (2n+1)^(-2/3) are both on [0, S_MAX], whose
-# right end is n = 1 and whose left end s = 0 is n -> infinity.
-S_MAX = 3.0 ** (-2.0 / 3.0)
 
 # recurrence renormalization thresholds; +-600 keeps mantissa*mantissa safe
 _RESCALE_HI = 2.0 ** 600
@@ -194,21 +189,6 @@ def g_of_e(e):
     """
     r = np.sqrt(e * (2.0 + e))
     return 0.75 * ((1.0 + e) * r - np.log1p(e + r))
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev series
-
-def chebyshev_of_s(coeffs, s):
-    """sum_k coeffs[k] T_k(2s/S_MAX - 1) on an array s, by Clenshaw's
-    recurrence."""
-    x = 2.0 * s / S_MAX - 1.0
-    x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + x2 * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
 
 
 # ---------------------------------------------------------------------------

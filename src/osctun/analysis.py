@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _kernels, quadrature, specfun
+from . import _kernels, series, specfun
 from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms,
                           big_f_n_values, f_of_x, zeta_of_x_values)
 
@@ -82,7 +82,7 @@ def comparison_table(n_values):
         raise ValueError("comparison requires n >= 1, got %d" % min(ns))
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
-    p = quadrature._tunneling_arrays(ns)[0]
+    p = series.evaluate(series.P, ns)[0]
     lead, sec = _asymptotic_terms(ns)
     err_sec = np.abs(p - sec)
     # Python's pow, as in _asymptotic_terms, and one rounding per product.
@@ -148,11 +148,11 @@ def _figure_one():
     dens = nu * specfun.hermite_psi_squared(n, nu * u)
     inside = u[np.abs(u) < 1.0]
     classical = 1.0 / (math.pi * np.sqrt(1.0 - inside * inside))
-    p = quadrature._tunneling_arrays(list(range(n + 1)))[0]
-    series = (["density"] * points + ["classical"] * len(inside)
+    p = series.evaluate(series.P, list(range(n + 1)))[0]
+    labels = (["density"] * points + ["classical"] * len(inside)
               + ["tunneling"] * (n + 1))
     x = np.concatenate([u, inside, np.arange(n + 1, dtype=np.float64)])
-    return ("series", "x", "y"), [series, x,
+    return ("series", "x", "y"), [labels, x,
                                   np.concatenate([dens, classical, p])]
 
 

@@ -8,8 +8,8 @@ eigenfunction uniformly for x >= 1:
 
 with nu = sqrt(2n+1) and an explicit relative error bound.  Feeding this into
 the tail integral gives the leading term C1 n^(-1/3) for the tunneling
-probability and the second-order correction -C2/n.  F_n's Chebyshev series
-in s = (2n+1)^(-2/3) is frozen by tools/gen_series.py.
+probability and the second-order correction -C2/n.  F_n is summed from
+its frozen Chebyshev series, the record osctun.series.F.
 """
 
 import math
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from . import specfun
+from . import _kernels, series, specfun
 from .quadrature import TunnelingResult
 
 __all__ = [
@@ -44,34 +43,6 @@ F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 # checks.
 X_MAX = 1e153
 ZETA_MAX = 8.254818122236567e+203
-
-# F_n depends on n only through s = nu^(-4/3) = (2n+1)^(-2/3), which runs
-# over (0, 3^(-2/3)] for n >= 1, and F(s) is smooth on [0, 3^(-2/3)] with
-# F(0) = F_INFINITY.  F(s) = sum_k c_k T_k(2s/3^(-2/3) - 1); |c_k| falls
-# about tenfold per degree and the first dropped one, c_18, is 2e-20.
-# Written verbatim by tools/gen_series.py from 30-digit mpmath samples
-# at 24 Chebyshev points; do not edit by hand.
-_BIG_F_CHEBYSHEV = (
-    0.04089054596539395,
-    -0.0012593471775208536,
-    4.688956440528202e-05,
-    -2.5065549140734746e-06,
-    1.669470790929729e-07,
-    -1.2980146991378194e-08,
-    1.1353849355342954e-09,
-    -1.0913036754151984e-10,
-    1.1340963462031505e-11,
-    -1.2593406663856906e-12,
-    1.4810095820323638e-13,
-    -1.8317893134789058e-14,
-    2.3696334034970385e-15,
-    -3.1915582572687045e-16,
-    4.458641683126328e-17,
-    -6.440220320953348e-18,
-    9.592247901234408e-19,
-    -1.4697624216915427e-19,
-)
-
 
 @dataclass(frozen=True)
 class ZetaPoint:
@@ -173,7 +144,7 @@ def f_n(n, t):
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
-    nu23 = specfun._nu23_of_levels(levels)
+    nu23 = series.nu23_of_levels(levels)
     zeta = 1.0 / (nu23 * nu23) * t
     if zeta[0] > ZETA_MAX:
         raise ValueError("t = %g maps to zeta = %g, past ZETA_MAX = %.17g, "
@@ -200,11 +171,10 @@ def big_f_n(n):
 
     Lies in (0, F_INFINITY] and approaches F_INFINITY from below as n grows.
 
-    F_n depends on n only through s = (2n+1)^(-2/3), and is summed from an
-    18-term Chebyshev series in s with frozen coefficients (see
-    tools/gen_series.py).  This is the one-level case of big_f_n_values.
-    Against 30-digit mpmath the error stays within 4 eps F_n from n = 1 to
-    10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
+    F_n depends on n only through s = (2n+1)^(-2/3), and is summed from the
+    18-term Chebyshev series series.F.  This is the one-level case of
+    big_f_n_values.  Against 30-digit mpmath the error stays within 4 eps
+    F_n from n = 1 to 10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
     """
     return float(big_f_n_values([n])[0])
 
@@ -215,9 +185,8 @@ def big_f_n_values(ns):
     Every n is checked before any is computed; then the series is summed
     once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
-    levels = specfun._check_levels(ns, 1, _check_positive)
-    nu23 = specfun._nu23_of_levels(levels)
-    return _kernels.chebyshev_of_s(_BIG_F_CHEBYSHEV, 1.0 / (nu23 * nu23))
+    return series.evaluate(
+        series.F, specfun._check_levels(ns, 1, _check_positive))[0]
 
 
 def _asymptotic_terms(ns):
@@ -271,7 +240,7 @@ def olver_approx(n, x):
     log_cn = (0.5 * math.log(2.0 * math.pi) - 0.25 * nu2
               + (3.0 * nu2 - 1.0) / 12.0 * math.log(nu2))
     log_pref = log_cn + 0.25 * math.log(fq)
-    nu23 = float(specfun._nu23_of_levels([n])[0])
+    nu23 = float(series.nu23_of_levels([n])[0])
     t = nu23 * nu23 * zp.zeta
     av = specfun.airy_ai(t)
     rhs = 0.0

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, asymptotics, quadrature, specfun
+from . import analysis, asymptotics, series, specfun
 from .quadrature import QuadratureConfig
 
 __all__ = ["main", "entry"]
@@ -169,7 +169,7 @@ class _UsageError(Exception):
 def _cmd_exact(args):
     return _stream(args.levels, lambda block: (
         ("n", "p_exact", "err_estimate"),
-        [block, *quadrature._tunneling_arrays(block)]))
+        [block, *series.evaluate(series.P, block)]))
 
 
 def _cmd_asympt(args):

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature and the exact tunneling probability.
+"""Adaptive Gauss-Kronrod quadrature, and TunnelingResult for P_n.
 
 The engine is a 7-point Gauss / 15-point Kronrod pair driven in waves: every
 pending panel contributes its 15 nodes to one batched integrand call, then
@@ -6,31 +6,9 @@ panels whose error exceeds their length-proportional share of the tolerance
 are bisected.  Semi-infinite integrals are handled by tail truncation with a
 geometric remainder bound, or by the substitution x = a + u/(1-u) onto (0, 1).
 
-The tunneling probability of oscillator level n is
-
-    P_n = 2 * integral of psi_n(x)^2 from nu = sqrt(2n+1) to infinity,
-
-and it is computed without quadrature.  The ladder relation
-psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1} and the three-term
-recurrence (DLMF 18.9) give
-
-    d/dx [psi_n psi_{n-1}] = sqrt(2n) (psi_{n-1}^2 - psi_n^2),
-
-so I_n(a) = int_a^inf psi_n^2 obeys
-I_n(a) = I_{n-1}(a) + psi_n(a) psi_{n-1}(a) / sqrt(2n), I_0(a) = erfc(a)/2,
-and
-
-    P_n = erfc(nu) + 2 * sum_{k=1..n} psi_k(nu) psi_{k-1}(nu) / sqrt(2k).
-
-The same identity holds at real order, so P is a function of the real
-level, and G(s) = s^(-1/2) P with s = (2n+1)^(-2/3) is analytic on
-[0, 3^(-2/3)].  _tunneling_arrays sums a 21-term Chebyshev series of G,
-with coefficients frozen by tools/gen_series.py, on the vector of s:
-O(1) a level, and within 1.4 eps of 50-digit references.  It is the one
-route for P_n: every CLI P_n takes its arrays, tunneling_exact_values wraps
-them in results, and tunneling_exact is its one-level case.  The adaptive
-engine stays in the tests as an independent check of the series and of the
-F_n series in asymptotics.big_f_n; no production route runs it.
+TunnelingResult holds a P_n with its method tag and error estimate, and
+tunneling_exact(_values) wrap the series osctun.series.P in it.  No
+production route runs the engine; the tests check both series with it.
 """
 
 import math
@@ -38,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, specfun
+from . import series, specfun
 
 __all__ = [
     "QuadratureConfig", "TunnelingResult",
@@ -48,40 +26,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# G(s) = s^(-1/2) P with s = (2n+1)^(-2/3) is analytic on [0, 3^(-2/3)],
-# and G(0) = 2^(4/3) Ai'(0)^2.  G(s) = sum_k c_k T_k(2s/3^(-2/3) - 1); the first
-# dropped coefficient, c_21, is about 1.2e-19.  Written verbatim by
-# tools/gen_series.py from 50-digit real-order telescoping sums at 40
-# Chebyshev points; do not edit by hand.
-_P_CHEBYSHEV = (
-    0.1644542340415734,
-    -0.003883299830501597,
-    0.0004288048165263236,
-    -3.065501094194424e-05,
-    7.730328680520645e-07,
-    -8.399062099792459e-08,
-    2.8748148128091622e-08,
-    -2.4820082378290043e-09,
-    -1.6364844381372958e-10,
-    1.4629592581404117e-11,
-    1.0580779861103058e-11,
-    -1.7289452128746065e-12,
-    -1.8143497993029948e-13,
-    6.683379440479609e-14,
-    4.194009817867361e-15,
-    -3.719701682281342e-15,
-    2.293192450691417e-16,
-    1.5826693601017849e-16,
-    -3.1604521272068135e-17,
-    -4.80997672045123e-18,
-    2.6229135198875533e-18,
-)
-# P_0 = erfc(1), at s = 1 beyond the series' interval.
-_P_ZERO = math.erfc(1.0)
-# err_estimate of the series in units of eps P; the worst error measured
-# against 50-digit references is 1.4 eps (tests/test_quadrature.py).
-_SERIES_EPS = 4.0
 
 # 15-point Kronrod abscissas (ascending) with their weights, and the embedded
 # 7-point Gauss weights on the odd-index nodes.  Frozen to 17 digits.
@@ -379,27 +323,10 @@ def tunneling_exact(n, config=None):
 
 
 def tunneling_exact_values(ns):
-    """P_n for every n in ns, in input order, as TunnelingResults; every n
-    is checked before _tunneling_arrays computes any."""
+    """P_n for every n in ns, in input order, as TunnelingResults from
+    series.P; every n is checked before any is computed."""
     levels = specfun._check_levels(ns)
-    values, errs = _tunneling_arrays(levels)
+    values, errs = series.evaluate(series.P, levels)
     return [TunnelingResult(n=int(n), value=v, method="exact", err_estimate=e)
             for n, v, e in zip(levels, values.tolist(), errs.tolist())]
 
-
-def _tunneling_arrays(levels):
-    """P_n and err_estimate as float64 arrays, for a list of checked levels.
-
-    The Chebyshev series of G(s) = s^(-1/2) P is summed once on the vector
-    of s = (2n+1)^(-2/3), formed from the exact double 2n+1, and
-    P = sqrt(s) G: about 21 multiply-adds a level at any n.  n = 0 is
-    erfc(1).  err_estimate is _SERIES_EPS eps P_n; the worst error
-    measured against 50-digit references, from n = 0 to 10^12, is 1.4 eps.
-    """
-    # s = nu^(-4/3) and P = G(s) / nu^(2/3).
-    nu23 = specfun._nu23_of_levels(levels)
-    values = _kernels.chebyshev_of_s(_P_CHEBYSHEV, 1.0 / (nu23 * nu23))
-    values /= nu23
-    if 0 in levels:
-        values[nu23 == 1.0] = _P_ZERO
-    return values, (_SERIES_EPS * _EPS) * values

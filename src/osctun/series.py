@@ -1,0 +1,123 @@
+"""The frozen Chebyshev series in s = (2n+1)^(-2/3): P_n and F_n.
+
+P_n and F_n depend on the level n only through s = nu^(-4/3) =
+(2n+1)^(-2/3), and each is a smooth function of s on [0, S_MAX],
+S_MAX = 3^(-2/3): n = 1 is the right end and s = 0 the limit n -> infinity.
+Each is a record here, G(s) = sum_k c_k T_k(2s/S_MAX - 1) with the
+coefficients of tools/gen_series.py, and one evaluator serves both at one
+multiply-add per coefficient a level, at any level:
+
+- P, the tunneling probability P_n = G(s) / nu^(2/3).  The package
+  docstring's telescoping identity holds at real order, so G(s) =
+  s^(-1/2) P is analytic; its O(n) sum is kept only in the tests.
+- F, the Airy-weighted integral F_n = G(s) of asymptotics.big_f_n.
+
+nu23_of_levels is every level route's one cube root of 2n+1, so a level's
+bits depend neither on the route nor on the sweep around it.
+"""
+
+import math
+from collections import namedtuple
+
+import numpy as np
+
+__all__ = ["Series", "S_MAX", "P", "F", "nu23_of_levels", "chebyshev_of_s",
+           "evaluate"]
+
+_EPS = float(np.finfo(np.float64).eps)
+
+# The interval end as the double both series are summed on.  It is 3^(-2/3)
+# with the exponent rounded first, one ulp above the correctly rounded end.
+S_MAX = 3.0 ** (-2.0 / 3.0)
+
+# One frozen series, G(s) = sum_k coeffs[k] T_k(2s/s_max - 1).  A level's
+# value is G(s) / nu^(2/3) if over_nu23, else G(s), and at_zero at n = 0
+# (s = 1); err_eps is the error claimed, in units of eps times the value.
+Series = namedtuple("Series", "coeffs s_max err_eps over_nu23 at_zero")
+
+# G(0) = 2^(4/3) Ai'(0)^2; the first dropped coefficient, c_21, is 1.2e-19.
+# Written by tools/gen_series.py from 50-digit real-order telescoping sums
+# at 40 Chebyshev points of [0, S_MAX]; do not edit by hand.  The bits of
+# nu^(2/3), and so of every P_n and F_n, are np.cbrt's, which takes numpy's
+# AVX-512 loop on CPUs that have it and libm's elsewhere; the two differ in
+# the last bit at 41% of the levels to 2*10^6.  Against 50-digit references
+# the worst error is 1.51 eps with the one and 2.09 eps with the other
+# (README "Numerical notes"); the claim is 4 eps.
+P = Series(coeffs=(
+    0.1644542340415734,
+    -0.003883299830501597,
+    0.0004288048165263236,
+    -3.065501094194424e-05,
+    7.730328680520645e-07,
+    -8.399062099792459e-08,
+    2.8748148128091622e-08,
+    -2.4820082378290043e-09,
+    -1.6364844381372958e-10,
+    1.4629592581404117e-11,
+    1.0580779861103058e-11,
+    -1.7289452128746065e-12,
+    -1.8143497993029948e-13,
+    6.683379440479609e-14,
+    4.194009817867361e-15,
+    -3.719701682281342e-15,
+    2.293192450691417e-16,
+    1.5826693601017849e-16,
+    -3.1604521272068135e-17,
+    -4.80997672045123e-18,
+    2.6229135198875533e-18,
+), s_max=S_MAX, err_eps=4.0, over_nu23=True, at_zero=math.erfc(1.0))
+
+# G(0) = F_INFINITY; |c_k| falls about tenfold per degree, and c_18 is
+# 2e-20.  Written by tools/gen_series.py from 30-digit mpmath samples at 24
+# Chebyshev points of [0, 3^(-2/3)] at 40 digits, an end within one ulp of
+# S_MAX; do not edit by hand.  Against 30-digit mpmath from n = 1 to 10^6
+# the error is within 4 eps.  F_0 is not defined: asymptotics refuses it.
+F = Series(coeffs=(
+    0.04089054596539395,
+    -0.0012593471775208536,
+    4.688956440528202e-05,
+    -2.5065549140734746e-06,
+    1.669470790929729e-07,
+    -1.2980146991378194e-08,
+    1.1353849355342954e-09,
+    -1.0913036754151984e-10,
+    1.1340963462031505e-11,
+    -1.2593406663856906e-12,
+    1.4810095820323638e-13,
+    -1.8317893134789058e-14,
+    2.3696334034970385e-15,
+    -3.1915582572687045e-16,
+    4.458641683126328e-17,
+    -6.440220320953348e-18,
+    9.592247901234408e-19,
+    -1.4697624216915427e-19,
+), s_max=S_MAX, err_eps=4.0, over_nu23=False, at_zero=math.nan)
+
+
+def nu23_of_levels(levels):
+    """nu^(2/3) = cbrt(2n+1) of checked levels as a float64 array, from the
+    exact double 2n+1: every level route's one map to s = 1/nu23^2."""
+    return np.cbrt(2.0 * np.array(levels, dtype=np.float64) + 1.0)
+
+
+def chebyshev_of_s(series, s):
+    """G(s) of series on an array s, by Clenshaw's recurrence."""
+    x = 2.0 * s / series.s_max - 1.0
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for c in series.coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return series.coeffs[0] + x * b1 - b2
+
+
+def evaluate(series, levels):
+    """The values of series and their err_estimates at checked levels, as
+    two float64 arrays in input order."""
+    nu23 = nu23_of_levels(levels)
+    values = chebyshev_of_s(series, 1.0 / (nu23 * nu23))
+    if series.over_nu23:
+        values /= nu23
+    if 0 in levels:
+        values[nu23 == 1.0] = series.at_zero
+    return values, (series.err_eps * _EPS) * values

@@ -103,12 +103,6 @@ def _check_levels(ns, lowest=0, check=_check_n):
     return levels
 
 
-def _nu23_of_levels(levels):
-    """nu^(2/3) = cbrt(2n+1) of checked levels as a float64 array, from the
-    exact double 2n+1: every level route's one map to s = 1/nu23^2."""
-    return np.cbrt(2.0 * np.array(levels, dtype=np.float64) + 1.0)
-
-
 def _as_array(x, name="x"):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osctun import _kernels, analysis, quadrature
+from osctun import analysis, quadrature, series
 from osctun.asymptotics import (F_INFINITY, big_f_n, f_of_x, leading_term,
                                 second_order, zeta_of_x)
 from osctun.quadrature import QuadratureConfig, integrate_finite
@@ -39,10 +39,10 @@ class TestCompareSweep:
             analysis.compare_sweep([3, 0])
 
     def test_checks_every_level_first(self, monkeypatch):
-        def must_not_run(ns):
+        def must_not_run(record, ns):
             raise AssertionError("no level may be computed")
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", must_not_run)
+        monkeypatch.setattr(series, "evaluate", must_not_run)
         with pytest.raises(ValueError, match="comparison requires n >= 1, "
                                              "got 0"):
             analysis.compare_sweep(list(range(1, 50)) + [0])
@@ -50,10 +50,10 @@ class TestCompareSweep:
     @pytest.mark.parametrize("bad", [2 ** 768, 10 ** 240],
                              ids=["2^768", "1e240"])
     def test_checks_the_overflow_ceiling_first(self, monkeypatch, bad):
-        def must_not_run(ns):
+        def must_not_run(record, ns):
             raise AssertionError("no level may be computed")
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", must_not_run)
+        monkeypatch.setattr(series, "evaluate", must_not_run)
         with pytest.raises(ValueError, match="n < 2\\^768"):
             analysis.comparison_table([5, bad, 7])
 
@@ -99,8 +99,8 @@ class TestIntegerLevels:
         def must_not_run(*args):
             raise AssertionError("no level may be computed")
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", must_not_run)
-        monkeypatch.setattr(_kernels, "chebyshev_of_s", must_not_run)
+        monkeypatch.setattr(series, "evaluate", must_not_run)
+        monkeypatch.setattr(series, "chebyshev_of_s", must_not_run)
 
     @pytest.mark.parametrize("levels, text", [
         ([5.7], "n must be an integer, got 5.7"),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osctun import analysis, cli, quadrature
+from osctun import analysis, cli, series
 from osctun.asymptotics import leading_term, second_order
 from osctun.cli import _build_parser, _fmt, main
 
@@ -40,11 +40,11 @@ _FIRST_LEVEL_PAST_DOUBLE = 2 ** 1023 - 2 ** 969
 
 
 def _forbid_p_sweeps(monkeypatch):
-    def must_not_run(ns):
+    def must_not_run(record, ns):
         raise AssertionError("no level may be computed")
 
-    # Every P_n of the CLI comes from this one series pass.
-    monkeypatch.setattr(quadrature, "_tunneling_arrays", must_not_run)
+    # Every P_n of the CLI comes from the one series evaluator.
+    monkeypatch.setattr(series, "evaluate", must_not_run)
 
 
 class TestGoldenRows:
@@ -371,10 +371,10 @@ class TestUsageErrors:
 class TestNumericalFailure:
     def test_exit_three_and_no_partial_file(self, tmp_path, capsys,
                                             monkeypatch):
-        def boom(ns):
+        def boom(record, ns):
             raise ValueError("stalled")
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", boom)
+        monkeypatch.setattr(series, "evaluate", boom)
         out = tmp_path / "p.csv"
         code, _, err = run_cli(capsys,
                                ["exact", "--n", "0", "--out", str(out)])
@@ -384,10 +384,10 @@ class TestNumericalFailure:
 
     def test_numeric_failure_keeps_existing_file(self, tmp_path, capsys,
                                                  monkeypatch):
-        def boom(ns):
+        def boom(record, ns):
             raise ValueError("stalled")
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", boom)
+        monkeypatch.setattr(series, "evaluate", boom)
         out = tmp_path / "precious.csv"
         out.write_text("keep me\n")
         code, _, _ = run_cli(capsys, ["exact", "--n", "0", "--out", str(out)])
@@ -484,13 +484,13 @@ class TestOutputPlumbing:
         # The temp file exists only while finished text is written, so a
         # process killed during the computation leaves nothing behind.
         seen = []
-        real = quadrature._tunneling_arrays
+        real = series.evaluate
 
-        def listing(ns):
+        def listing(record, ns):
             seen.append(os.listdir(tmp_path))
-            return real(ns)
+            return real(record, ns)
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", listing)
+        monkeypatch.setattr(series, "evaluate", listing)
         out = tmp_path / "p.csv"
         assert main(["exact", "--n-range", "0:3", "--out", str(out)]) == 0
         capsys.readouterr()
@@ -654,10 +654,10 @@ class TestRepeatedCalls:
         # functions up when they run.
         assert main(["exact", "--n", "0"]) == 0
 
-        def boom(ns):
+        def boom(record, ns):
             raise ValueError("stalled")
 
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", boom)
+        monkeypatch.setattr(series, "evaluate", boom)
         code, _, err = run_cli(capsys, ["exact", "--n", "0"])
         assert code == 3
         assert "stalled" in err
@@ -925,16 +925,16 @@ class TestBlockWriter:
         # The first block is staged when the second fails: the temp file
         # is removed and the target is neither made nor replaced.
         calls = []
-        real = quadrature._tunneling_arrays
+        real = series.evaluate
 
-        def second_fails(ns):
+        def second_fails(record, ns):
             calls.append(len(ns))
             if len(calls) == 2:
                 raise ValueError("stalled")
-            return real(ns)
+            return real(record, ns)
 
         monkeypatch.setattr(cli, "_BLOCK_LEVELS", 10)
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", second_fails)
+        monkeypatch.setattr(series, "evaluate", second_fails)
         out = tmp_path / "p.csv"
         if existing:
             out.write_text("keep me\n")

@@ -1,6 +1,6 @@
-"""The kernels, and the tests' own scalar tail sum (tail_sum.py), match
-independent evaluations: mpmath, direct recurrences and numpy's Chebyshev
-sum."""
+"""The kernels, the series evaluator's Clenshaw sum and the tests' own
+scalar tail sum (tail_sum.py) match independent evaluations: mpmath,
+direct recurrences and numpy's Chebyshev sum."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tail_sum
-from osctun import _kernels
+from osctun import _kernels, series
 
 
 def test_inversion_converges_just_above_series_seam():
@@ -75,10 +75,11 @@ def test_tail_sum_matches_recurrence(n):
 
 def test_chebyshev_of_s_matches_chebval():
     coeffs = (0.5, -0.25, 0.125, 1e-3, -2e-5, 3e-7)
-    s = np.linspace(0.0, _kernels.S_MAX, 41)
-    want = np.polynomial.chebyshev.chebval(2.0 * s / _kernels.S_MAX - 1.0,
+    record = series.P._replace(coeffs=coeffs)
+    s = np.linspace(0.0, series.S_MAX, 41)
+    want = np.polynomial.chebyshev.chebval(2.0 * s / series.S_MAX - 1.0,
                                            coeffs)
-    assert np.all(np.abs(_kernels.chebyshev_of_s(coeffs, s) - want) <= 1e-15)
+    assert np.all(np.abs(series.chebyshev_of_s(record, s) - want) <= 1e-15)
 
 
 def test_extreme_order_finite():

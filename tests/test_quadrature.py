@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tail_sum
-from osctun import _kernels, quadrature, specfun
+from osctun import quadrature, series, specfun
 from osctun.quadrature import (DEFAULT_CONFIG, NonConvergenceError,
                                QuadratureConfig, TruncationFailureError,
                                integrate_finite, integrate_semi_infinite,
@@ -255,11 +255,11 @@ class TestTunnelingSweep:
         (r,) = tunneling_exact_values([np.int64(612)])
         assert type(r.n) is int and r.n == 612
         assert r.method == "exact"
-        assert r.err_estimate == quadrature._SERIES_EPS * EPS * r.value
+        assert r.err_estimate == series.P.err_eps * EPS * r.value
 
     def test_checks_every_level_first(self, monkeypatch):
         assert tunneling_exact_values([]) == []
-        monkeypatch.setattr(_kernels, "chebyshev_of_s", _must_not_run)
+        monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
         with pytest.raises(ValueError):
             tunneling_exact_values(list(range(100)) + [-1])
         with pytest.raises(TypeError):
@@ -331,14 +331,13 @@ class TestTunnelingSeries:
     def test_series_ends(self, mp_p):
         # s = 0 (n -> infinity) gives a0 within 2 ulp; s = 3^(-2/3), the
         # top of the interval, gives P_1.
-        g = _kernels.chebyshev_of_s(quadrature._P_CHEBYSHEV,
-                                    np.array([0.0, _kernels.S_MAX]))
+        g = series.chebyshev_of_s(series.P, np.array([0.0, series.S_MAX]))
         with mpmath.workdps(50):
             a0 = mpmath.mpf(2) ** (mpmath.mpf(4) / 3) * mpmath.airyai(
                 0, derivative=1) ** 2
         assert abs(g[0] - a0) <= 2.0 * math.ulp(float(a0))
-        p1 = math.sqrt(_kernels.S_MAX) * g[1]
-        assert abs(p1 - mp_p(1)) <= quadrature._SERIES_EPS * EPS * p1
+        p1 = math.sqrt(series.S_MAX) * g[1]
+        assert abs(p1 - mp_p(1)) <= series.P.err_eps * EPS * p1
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -350,13 +349,8 @@ class TestTunnelingSeries:
 
 
 class TestOneLevel:
-    """tunneling_exact(n) is the one-level case of the series pass."""
-
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              database=None)
-    @given(n=st.integers(min_value=0, max_value=10 ** 15))
-    def test_bits_of_the_sweep(self, n):
-        assert tunneling_exact(n) == tunneling_exact_values([n])[0]
+    """tunneling_exact(n) is the one-level case of the series pass; that
+    a level's bits do not depend on the sweep is checked in test_series."""
 
     def test_bound_against_stored_sums(self):
         for n, text in STORED_P.items():
@@ -376,7 +370,7 @@ class TestOneLevel:
     def test_rejects_levels_past_a_double(self, n, route, monkeypatch):
         # 2n+1 rounds past the largest double from 2^1023 - 2^969 on; such
         # a level is refused before any P_n is computed.
-        monkeypatch.setattr(quadrature, "_tunneling_arrays", _must_not_run)
+        monkeypatch.setattr(series, "evaluate", _must_not_run)
         with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
             route(n)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import osctun
-from osctun import specfun
+from osctun import series, specfun
 from osctun.quadrature import QuadratureConfig, integrate_finite
 
 
@@ -198,7 +198,7 @@ class TestOscillatorState:
 
 class TestOneSMap:
     """Every route from a level to s = (2n+1)^(-2/3) takes nu^(2/3) from
-    specfun._nu23_of_levels, so no second map can give other bits."""
+    series.nu23_of_levels, so no second map can give other bits."""
 
     @pytest.mark.parametrize("route", [
         lambda: osctun.tunneling_exact_values([5]),
@@ -213,6 +213,6 @@ class TestOneSMap:
         def refuse(levels):
             raise Refused
 
-        monkeypatch.setattr(specfun, "_nu23_of_levels", refuse)
+        monkeypatch.setattr(series, "nu23_of_levels", refuse)
         with pytest.raises(Refused):
             route()

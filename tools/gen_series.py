@@ -1,8 +1,8 @@
 """Chebyshev coefficients of the P_n and F_n series in s = (2n+1)^(-2/3).
 
 Usage:
-    python3 tools/gen_series.py            # print both tuples
-    python3 tools/gen_series.py --check    # compare both with osctun
+    python3 tools/gen_series.py            # print both coefficient tuples
+    python3 tools/gen_series.py --check    # compare both with osctun.series
 
 Both series are functions of s = nu^(-4/3) = (2n+1)^(-2/3) on [0, 3^(-2/3)],
 where s = 3^(-2/3) is n = 1 and s -> 0 is n -> infinity.  Each is sampled at
@@ -10,11 +10,10 @@ first-kind Chebyshev points of that interval, and the discrete cosine
 transform of the samples gives c_k in sum_k c_k T_k(2s/3^(-2/3) - 1).
 
 - P: G(s) = s^(-1/2) P at the real level N, 40 samples at 50 digits,
-  c_0..c_20 kept (c_21 is about 1.2e-19), frozen as
-  osctun.quadrature._P_CHEBYSHEV.  P_n = 2 int_nu^inf psi_n^2 holds at real
-  order with psi_N(x) = D_N(sqrt(2) x) / sqrt(Gamma(N+1) sqrt(pi)), D_N =
+  c_0..c_20 kept (c_21 is about 1.2e-19), frozen as osctun.series.P.
+  P_n = 2 int_nu^inf psi_n^2 holds at real order with psi_N(x) = D_N(sqrt(2) x) / sqrt(Gamma(N+1) sqrt(pi)), D_N =
   mpmath.pcfd (DLMF 12.2), and so does the telescoping identity of
-  osctun.quadrature, started from the fractional part N0 = N - floor(N):
+  osctun.series, started from the fractional part N0 = N - floor(N):
 
       P(N) = 2 I_N0(a) + 2 sum_{j=1..floor(N)} psi_{N0+j}(a) psi_{N0+j-1}(a)
                                                 / sqrt(2 (N0+j)),
@@ -25,23 +24,23 @@ transform of the samples gives c_k in sum_k c_k T_k(2s/3^(-2/3) - 1).
   erfc(1) in osctun.
 - F: F(s) = int_0^inf f(x(s t)) Ai(t)^2 dt, 24 samples by 30-digit mpmath
   quadrature in x, DCT at 40 digits, c_0..c_17 kept (c_18 is about 2e-20),
-  frozen as osctun.asymptotics._BIG_F_CHEBYSHEV.  With t = zeta(x)/s and
+  frozen as osctun.series.F.  With t = zeta(x)/s and
   zeta'(x) = f(x)^(-1/2), F(s) = (1/s) int_1^inf sqrt(f(x)) Ai(zeta(x)/s)^2 dx
   needs no inversion of the map.
 
-The interval ends differ, and each tuple needs its own: P's is 3^(-2/3)
-rounded to 53 bits (the double _kernels.S_MAX), F's is 3^(-2/3) at 40
-digits.  One end for both changes 18 of P's 21 coefficients in the last bits.
+The sampled interval ends differ: P's is 3^(-2/3) rounded to 53 bits (the
+double osctun.series.S_MAX, which both records are summed on), F's is
+3^(-2/3) at 40 digits.  One end for both moves 18 of P's 21 coefficients.
 
 The script checks the real-order sum against the independent 50-digit
-perfbench/references.PnReference, then prints both tuples as osctun holds
-them, and the dropped coefficients on stderr; --check compares them with
-osctun's instead and exits 1 on any difference.  It needs mpmath only and
+perfbench/references.PnReference, then prints each record's coefficient
+tuple as osctun.series holds it, and the dropped coefficients on stderr;
+--check compares them with the records instead and exits 1 on any
+difference.  It needs mpmath only and
 takes about two minutes, most of it in P's sample nearest s = 0 (n = 2e5).
 """
 
 import argparse
-import importlib
 import os
 import sys
 import time
@@ -129,13 +128,12 @@ def interval_end(precision):
         return mpmath.mpf(3) ** (-mpmath.mpf(2) / 3)
 
 
-# module, tuple name, sampler, samples, kept degree, DCT digits, interval end
-Series = namedtuple("Series", "module name sample samples degree dps s_hi")
+# record name in osctun.series, sampler, samples, kept degree, DCT digits,
+# sampled interval end
+Series = namedtuple("Series", "name sample samples degree dps s_hi")
 SERIES = (
-    Series("quadrature", "_P_CHEBYSHEV", g_of_s, 40, 20, P_DPS,
-           interval_end(mpmath.workprec(53))),
-    Series("asymptotics", "_BIG_F_CHEBYSHEV", big_f_of_s, 24, 17, 40,
-           interval_end(mpmath.workdps(40))),
+    Series("P", g_of_s, 40, 20, P_DPS, interval_end(mpmath.workprec(53))),
+    Series("F", big_f_of_s, 24, 17, 40, interval_end(mpmath.workdps(40))),
 )
 
 
@@ -164,8 +162,9 @@ def reference_gap():
 
 
 def literal(series, coeffs):
-    """The tuple assignment osctun holds, from c_0..c_degree of coeffs."""
-    lines = ["%s = (" % series.name]
+    """The coefficient tuple osctun.series holds, from c_0..c_degree of
+    coeffs."""
+    lines = ["("]
     lines.extend("    %r," % float(c) for c in coeffs[:series.degree + 1])
     lines.append(")")
     return "\n".join(lines)
@@ -174,7 +173,7 @@ def literal(series, coeffs):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare with the tuples in osctun")
+                        help="compare with the records in osctun.series")
     args = parser.parse_args()
     gap = reference_gap()
     print("max |P - PnReference| at n = %s: %s"
@@ -184,6 +183,7 @@ def main():
         print("the real-order sum disagrees with PnReference", file=sys.stderr)
         return 1
     sys.path.insert(0, os.path.join(ROOT, "src"))
+    from osctun import series as records
     status = 0
     for series in SERIES:
         start = time.perf_counter()
@@ -194,12 +194,11 @@ def main():
                  " ".join(mpmath.nstr(abs(c), 2)
                           for c in coeffs[series.degree + 1:])),
               file=sys.stderr)
+        where = "osctun.series.%s.coeffs" % series.name
         if not args.check:
-            print(literal(series, coeffs))
+            print("%s = %s" % (where, literal(series, coeffs)))
             continue
-        where = "osctun.%s.%s" % (series.module, series.name)
-        frozen = getattr(importlib.import_module("osctun." + series.module),
-                         series.name)
+        frozen = getattr(records, series.name).coeffs
         if frozen == tuple(float(c) for c in coeffs[:series.degree + 1]):
             print(where + " matches, bit for bit")
         else:
