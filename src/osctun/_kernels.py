@@ -10,7 +10,7 @@ Kernels:
 - airy_values(t):             (Ai, Ai', err_estimate, method) on a t array,
                               dd-compensated Maclaurin series below T_SWITCH,
                               whose one loop sums F, G and both derivatives,
-                              optimally truncated asymptotic expansion above
+                              20-term asymptotic expansion above
 - invert_zeta_values(zeta):   x - 1 solving zeta(x) = zeta, series seed plus
                               safeguarded Newton on the 3/2-power form
 - zeta_from_e(e), f_from_e(e): forward turning-point map and its f ratio,
@@ -45,7 +45,7 @@ LN2_LO = 2.3190468138462996e-17
 PI_M14 = 0.7511255444649425
 
 # Airy branch switch; the dd series holds <= 5e-15 relative through t ~ 9.5
-# while the asymptotic optimal truncation reaches ~2e-15 at t = 9 (z = 18)
+# while the 20-term asymptotic expansion reaches ~2e-15 at t = 9 (z = 18)
 T_SWITCH = 9.0
 AIRY_SERIES = 0    # method codes
 AIRY_ASYMPTOTIC = 1
@@ -283,24 +283,20 @@ def _airy_asym(t):
     t = np.minimum(t, 1e3)
     st = np.sqrt(t)
     z = (2.0 / 3.0) * t * st
+    # Above T_SWITCH (z > 18) the terms fall through k = 20, since
+    # u_k / (u_(k-1) z) <= 0.53 there, so all 20 are summed and the last
+    # one stands for the remainder.
     s_ai = np.ones_like(t)
     s_aip = np.ones_like(t)
     zk = np.ones_like(t)
-    prev = np.full_like(t, 1e308)
-    dropped = np.zeros_like(t)
-    active = np.ones(t.shape, dtype=bool)
     sign = -1.0
     for k in range(1, 21):
         zk = zk * z
         term = _ASY_U[k] / zk
-        stop = active & (np.abs(term) >= np.abs(prev))
-        dropped = np.where(stop, np.abs(term), dropped)
-        active = active & ~stop
-        s_ai = np.where(active, s_ai + sign * term, s_ai)
-        s_aip = np.where(active, s_aip + sign * (_ASY_V[k] / zk), s_aip)
-        dropped = np.where(active, np.abs(term), dropped)
-        prev = term
+        s_ai = s_ai + sign * term
+        s_aip = s_aip + sign * (_ASY_V[k] / zk)
         sign = -sign
+    dropped = np.abs(term)
     q = t ** 0.25
     ez = np.exp(-z)
     pref = ez / (2.0 * SQRT_PI * q)

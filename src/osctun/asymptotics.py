@@ -70,22 +70,6 @@ class IterationLimitError(RuntimeError):
     """Safeguarded Newton failed to invert the map within its step budget."""
 
 
-def _check_x(x):
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if not 1.0 <= x <= X_MAX:
-        raise ValueError("x must be in [1, X_MAX = %g], got %g" % (X_MAX, x))
-    return x
-
-
-def _x_values(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if not ((arr >= 1.0) & (arr <= X_MAX)).all():
-        raise ValueError("x must be finite and in [1, X_MAX = %g]" % X_MAX)
-    return arr
-
-
 def zeta_of_x(x):
     """Map x in [1, X_MAX] to zeta, switching to a series for x - 1 below 1e-3.
 
@@ -93,16 +77,19 @@ def zeta_of_x(x):
     as x -> 1; the series regime restores full precision and the two paths
     agree to 1e-12 relative at the seam.
     """
-    x = _check_x(x)
-    e = x - 1.0
-    zeta = float(_kernels.zeta_from_e(np.array([e]))[0])
-    regime = "series-near-one" if e < _kernels.DELTA_ZETA_SERIES else "direct"
+    x = float(x)
+    e = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")[0] - 1.0
+    zeta = float(_kernels.zeta_from_e(e)[0])
+    regime = ("series-near-one" if e[0] < _kernels.DELTA_ZETA_SERIES
+              else "direct")
     return ZetaPoint(x=x, zeta=zeta, regime=regime)
 
 
 def zeta_of_x_values(x):
     """zeta on an array of x in [1, X_MAX]; figure plumbing."""
-    return _kernels.zeta_from_e(_x_values(x) - 1.0)
+    arr, scalar = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")
+    out = _kernels.zeta_from_e(arr - 1.0)
+    return out.reshape(()) if scalar else out
 
 
 def x_of_zeta(zeta):
@@ -113,12 +100,8 @@ def x_of_zeta(zeta):
     IterationLimitError past 100 steps, which no such zeta takes.
     """
     zeta = float(zeta)
-    if not math.isfinite(zeta):
-        raise ValueError("zeta must be finite")
-    if not 0.0 <= zeta <= ZETA_MAX:
-        raise ValueError("zeta must be in [0, ZETA_MAX = %.17g], the image of "
-                         "X_MAX, got %g" % (ZETA_MAX, zeta))
-    e, ok = _kernels.invert_zeta_values(np.array([zeta]))
+    e, ok = _kernels.invert_zeta_values(
+        specfun._check_real(zeta, "zeta", 0.0, ZETA_MAX, "ZETA_MAX")[0])
     if not ok:
         raise IterationLimitError("inversion stalled at zeta=%g" % zeta)
     return 1.0 + float(e[0])
@@ -129,41 +112,28 @@ def f_of_x(x):
 
     Strictly decreasing on [1, infinity) with limit 0.
     """
-    x = _check_x(x)
-    return float(_kernels.f_from_e(np.array([x - 1.0]))[0])
+    arr = specfun._check_real(float(x), "x", 1.0, X_MAX, "X_MAX")[0]
+    return float(_kernels.f_from_e(arr - 1.0)[0])
 
 
 def f_of_x_values(x):
     """f on an array of x in [1, X_MAX]; sweep plumbing."""
-    return _kernels.f_from_e(_x_values(x) - 1.0)
+    arr, scalar = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")
+    out = _kernels.f_from_e(arr - 1.0)
+    return out.reshape(()) if scalar else out
 
 
 def f_n(n, t):
     """f evaluated at the x corresponding to zeta = nu^(-4/3) t <= ZETA_MAX."""
     levels = specfun._check_levels([n])
     t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("t must be finite and >= 0")
     nu23 = series.nu23_of_levels(levels)
-    zeta = 1.0 / (nu23 * nu23) * t
-    if zeta[0] > ZETA_MAX:
-        raise ValueError("t = %g maps to zeta = %g, past ZETA_MAX = %.17g, "
-                         "the image of X_MAX" % (t, zeta[0], ZETA_MAX))
+    zeta = specfun._check_real(1.0 / (nu23 * nu23) * t, "zeta = nu^(-4/3) t",
+                               0.0, ZETA_MAX, "ZETA_MAX")[0]
     e, ok = _kernels.invert_zeta_values(zeta)
     if not ok:
         raise IterationLimitError("inversion stalled at t=%g" % t)
     return float(_kernels.f_from_e(e)[0])
-
-
-def _check_positive(n):
-    specfun._check_n(n)
-    if n < 1:
-        raise ValueError("n must be >= 1 (the formula diverges at n=0)")
-
-
-def _check_order(n):
-    """n as an int, once it is an integer n >= 1 whose 2n+1 fits a double."""
-    return int(specfun._check_levels([n], 1, _check_positive)[0])
 
 
 def big_f_n(n):
@@ -186,7 +156,7 @@ def big_f_n_values(ns):
     once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
     """
     return series.evaluate(
-        series.F, specfun._check_levels(ns, 1, _check_positive))[0]
+        series.F, specfun._check_levels(ns, 1))[0]
 
 
 def _asymptotic_terms(ns):
@@ -205,7 +175,7 @@ def leading_term(n):
     second_order's bound, by the triangle inequality.  C2/n alone
     under-claims, since the next term has the same sign as the first.
     """
-    n = _check_order(n)
+    n = int(specfun._check_levels([n], 1)[0])
     value = float(_asymptotic_terms([n])[0][0])
     return TunnelingResult(n=n, value=value, method="leading",
                            err_estimate=C2 / n + C1 * float(n) ** (-4.0 / 3.0))
@@ -216,7 +186,7 @@ def second_order(n):
 
     err_estimate scales as the next omitted order n^(-4/3).
     """
-    n = _check_order(n)
+    n = int(specfun._check_levels([n], 1)[0])
     value = float(_asymptotic_terms([n])[1][0])
     return TunnelingResult(n=n, value=value, method="second-order",
                            err_estimate=C1 * float(n) ** (-4.0 / 3.0))
@@ -232,8 +202,8 @@ def olver_approx(n, x):
     exceeds the largest double (log_prefactor passes 709); then this raises
     ValueError, whose message gives log_prefactor.
     """
-    n = _check_order(n)
-    x = _check_x(x)
+    n = int(specfun._check_levels([n], 1)[0])
+    x = float(x)
     nu2 = 2.0 * n + 1.0
     zp = zeta_of_x(x)
     fq = f_of_x(x)

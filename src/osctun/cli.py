@@ -24,7 +24,6 @@ import sys
 import numpy as np
 
 from . import analysis, asymptotics, series, specfun
-from .quadrature import QuadratureConfig
 
 __all__ = ["main", "entry"]
 
@@ -70,24 +69,23 @@ def _csv_columns(header, data, head=True):
     """The CSV text of one block of rows given as columns, headed by the
     header line if head.
 
-    Each column gets one conversion of the table's %-template: %#.12g for
-    a float array, %d for ints; any other column is mapped through _fmt
-    and printed %s.  One mask finds the rows holding a float that _fmt
-    prints otherwise (not finite, integral, or from about 1e11 up), and
-    those rows are joined from _fmt cell by cell, so the text is _fmt's by
-    construction.
+    Each column gets one conversion of the block's %-template: %#.12g for
+    a float array whose every cell is finite, not integral and below
+    _TEMPLATE_BELOW, where it prints what _fmt does; %d for ints; any other
+    column is mapped through _fmt and printed %s.  So the text is _fmt's
+    by construction.
     """
-    out = [",".join(header) + "\n"] if head else []
+    out = ",".join(header) + "\n" if head else ""
     m = len(data[0]) if data else 0
     if not m:
-        return "".join(out)
+        return out
     k = len(data)
     cells = [None] * (k * m)
-    special = np.zeros(m, dtype=bool)
     spec = []
     for j, col in enumerate(data):
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            special |= ~(np.abs(col) < _TEMPLATE_BELOW) | (col == np.trunc(col))
+        if (isinstance(col, np.ndarray) and col.dtype.kind == "f"
+                and (np.abs(col) < _TEMPLATE_BELOW).all()
+                and not (col == np.trunc(col)).any()):
             col = col.tolist()
             spec.append("%#.12g")
         elif all(issubclass(t, (int, np.integer)) for t in set(map(type, col))):
@@ -96,16 +94,7 @@ def _csv_columns(header, data, head=True):
             col = list(map(_fmt, col))
             spec.append("%s")
         cells[j::k] = col
-    template = ",".join(spec) + "\n"
-    start = 0
-    for i in np.flatnonzero(special).tolist() + [m]:
-        if i > start:
-            out.append((template * (i - start))
-                       % tuple(cells[start * k:i * k]))
-        if i < m:
-            out.append(",".join(map(_fmt, cells[i * k:(i + 1) * k])) + "\n")
-        start = i + 1
-    return "".join(out)
+    return out + (",".join(spec) + "\n") * m % tuple(cells)
 
 
 def _stream(levels, table):
@@ -116,6 +105,16 @@ def _stream(levels, table):
     for start in range(0, len(levels), _BLOCK_LEVELS):
         yield _csv_columns(*table(list(levels[start:start + _BLOCK_LEVELS])),
                            head=start == 0)
+
+
+def _parse_tol(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return tol
 
 
 def _check_fits_double(n):
@@ -153,13 +152,6 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError(
             "range lists more than %d levels" % _MAX_RANGE_LEVELS)
     return range(a, b + 1, step)
-
-
-def _config(args):
-    try:
-        return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
 
 
 class _UsageError(Exception):
@@ -291,8 +283,6 @@ def _run(args):
     """
     staged, writes, path = [], [], args.out
     try:
-        # Every subcommand validates the tolerance flags; none uses them.
-        _config(args)
         result = args.handler(args)
         blocks, code = result if isinstance(result, tuple) else (result, 0)
         blocks = iter(blocks)
@@ -349,11 +339,11 @@ def _run(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--rel-tol", type=float, default=1e-11,
+    sub.add_argument("--rel-tol", type=_parse_tol, default=1e-11,
                      help="relative quadrature tolerance, validated but "
                           "unused: no subcommand runs quadrature "
                           "(default 1e-11)")
-    sub.add_argument("--abs-tol", type=float, default=1e-15,
+    sub.add_argument("--abs-tol", type=_parse_tol, default=1e-15,
                      help="absolute quadrature tolerance, validated but "
                           "unused: no subcommand runs quadrature "
                           "(default 1e-15)")

@@ -69,11 +69,14 @@ GAMMA = GammaConstants(
 )
 
 
-def _check_n(n):
+def _check_n(n, lowest=0):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise TypeError("n must be an integer, got %r" % (n,))
     if n < 0:
         raise ValueError("n must be nonnegative, got %d" % n)
+    if n < lowest:
+        raise ValueError("n must be >= %d (the formula diverges at n=0)"
+                         % lowest)
 
 
 # The largest level whose 2n+1 fits a double: from 2^1023 - 2^969 on,
@@ -82,14 +85,14 @@ def _check_n(n):
 _MAX_LEVEL = 2 ** 1023 - 2 ** 969 - 1
 
 
-def _check_levels(ns, lowest=0, check=_check_n):
-    """The levels ns as a list, once check has passed each of them and
-    each 2n+1 fits a double.
+def _check_levels(ns, lowest=0):
+    """The levels ns as a list, once each is an integer n >= lowest whose
+    2n+1 fits a double.
 
     Integer levels (not bools) are checked by one min() and one max(); any
-    other type, or a level below lowest, takes check level by level, which
-    raises on the first bad level.  A level whose 2n+1 overflows a double
-    raises ValueError once every level has passed check.
+    other type, or a level below lowest, takes _check_n level by level,
+    which raises on the first bad level.  A level whose 2n+1 overflows a
+    double raises ValueError once every level has passed _check_n.
     """
     levels = list(ns)
     types = set(map(type, levels))
@@ -97,16 +100,29 @@ def _check_levels(ns, lowest=0, check=_check_n):
             or not all(issubclass(t, (int, np.integer)) for t in types)
             or (levels and min(levels) < lowest)):
         for n in levels:
-            check(n)
+            _check_n(n, lowest)
     if levels and max(levels) > _MAX_LEVEL:
         raise ValueError("level too large: 2n+1 must fit a double")
     return levels
 
 
-def _as_array(x, name="x"):
+def _check_real(x, name, lo=-math.inf, hi=math.inf, hi_name=None):
+    """x as a float64 array of at least one dimension, and whether x was a
+    scalar, once every value is finite and in [lo, hi].
+
+    The ValueError names the argument, the range with the upper bound by
+    hi_name, and the first bad value.  A scalar entry point passes float(x),
+    which raises TypeError for an array.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("%s must be finite" % name)
+    ok = np.isfinite(arr) & (arr >= lo) & (arr <= hi)
+    if not ok.all():
+        if hi < math.inf:
+            span = " and in [%g, %s = %r]" % (lo, hi_name, hi)
+        else:
+            span = " and >= %g" % lo if lo > -math.inf else ""
+        raise ValueError("%s must be finite%s, got %r"
+                         % (name, span, float(arr[~ok][0])))
     return np.atleast_1d(arr), arr.ndim == 0
 
 
@@ -126,7 +142,7 @@ def hermite_psi(n, x):
         psi_n at x; scalar in, scalar out.
     """
     _check_n(n)
-    arr, scalar = _as_array(x)
+    arr, scalar = _check_real(x, "x")
     out = _kernels.hermite_values(int(n), arr)
     return float(out[0]) if scalar else out
 
@@ -137,19 +153,10 @@ def hermite_psi_squared(n, x):
     Same contract as hermite_psi; never returns a negative value.
     """
     _check_n(n)
-    arr, scalar = _as_array(x)
+    arr, scalar = _check_real(x, "x")
     psi = _kernels.hermite_values(int(n), arr)
     out = np.maximum(psi * psi, 0.0)
     return float(out[0]) if scalar else out
-
-
-def _check_t_scalar(t):
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    if t < -2.0:
-        raise ValueError("t must be >= -2, got %g" % t)
-    return t
 
 
 def airy_ai(t):
@@ -162,8 +169,8 @@ def airy_ai(t):
         "asymptotic-expansion" above), and an error estimate honoring
         err <= 1e-12 * max(|value|, 1e-300) on [-1, 50].
     """
-    t = _check_t_scalar(t)
-    ai, _, err, method = _kernels.airy_values(np.array([t]))
+    t = float(t)
+    ai, _, err, method = _kernels.airy_values(_check_real(t, "t", -2.0)[0])
     return AiryValue(t=t, value=float(ai[0]), method=_METHOD_NAMES[int(method[0])],
                      err_estimate=float(err[0]))
 
@@ -175,15 +182,12 @@ def airy_ai_prime(t):
     (the Maclaurin branch) and 7e-14 on (9, 50], where the rounding of the
     exp(-z) argument grows with z = (2/3) t^(3/2).
     """
-    t = _check_t_scalar(t)
-    _, aip, _, _ = _kernels.airy_values(np.array([t]))
+    _, aip, _, _ = _kernels.airy_values(_check_real(float(t), "t", -2.0)[0])
     return float(aip[0])
 
 
 def airy_ai_values(t):
     """Ai on an array; quadrature plumbing (same branches as airy_ai)."""
-    arr, scalar = _as_array(t, "t")
-    if (arr < -2.0).any():
-        raise ValueError("t must be >= -2")
+    arr, scalar = _check_real(t, "t", -2.0)
     ai, _, _, _ = _kernels.airy_values(arr)
     return float(ai[0]) if scalar else ai

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import osctun
-from osctun import series, specfun
+from osctun import _kernels, asymptotics, series, specfun
 from osctun.quadrature import QuadratureConfig, integrate_finite
 
 
@@ -166,6 +166,20 @@ class TestAiry:
                 av = specfun.airy_ai(tc)
                 assert abs(av.value - y[0]) <= 1e-8 * max(abs(y[0]), 1e-12)
 
+    @pytest.mark.parametrize("t, bound", [(_kernels.T_SWITCH, 0.53),
+                                          (8.5, 0.58)])
+    def test_asymptotic_terms_fall(self, t, bound):
+        # The expansion sums all 20 terms and takes the last as its
+        # remainder, which holds while each term is below the one before.
+        # u_k / (u_(k-1) z) grows with k and falls with t, so the 20th
+        # ratio bounds every term from t on; the overlap window and
+        # test_acceptance call the branch from 8.5.
+        z = 2.0 / 3.0 * t ** 1.5
+        u = _kernels._ASY_U[:21]
+        ratio = u[1:] / (u[:-1] * z)
+        assert (np.diff(ratio) > 0.0).all()
+        assert ratio[-1] <= bound
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             specfun.airy_ai(-2.5)
@@ -183,6 +197,50 @@ def _series_branch(t):
 def _asym_branch(t):
     from osctun._kernels import _airy_asym
     return _airy_asym(np.asarray(t, dtype=np.float64))
+
+
+# Every public entry point taking a real argument: (call, the name its
+# ValueError gives, a finite value out of range or None, scalar only).
+_REAL_ARGUMENTS = {
+    "hermite_psi": (lambda x: specfun.hermite_psi(3, x), "x", None, False),
+    "hermite_psi_squared": (lambda x: specfun.hermite_psi_squared(3, x),
+                            "x", None, False),
+    "airy_ai": (specfun.airy_ai, "t", -2.5, True),
+    "airy_ai_prime": (specfun.airy_ai_prime, "t", -2.5, True),
+    "airy_ai_values": (specfun.airy_ai_values, "t", -2.5, False),
+    "zeta_of_x": (asymptotics.zeta_of_x, "x", 0.5, True),
+    "zeta_of_x_values": (asymptotics.zeta_of_x_values, "x", 0.5, False),
+    "f_of_x": (asymptotics.f_of_x, "x", 0.5, True),
+    "f_of_x_values": (asymptotics.f_of_x_values, "x", 0.5, False),
+    "x_of_zeta": (asymptotics.x_of_zeta, "zeta", -1e-9, True),
+    "f_n": (lambda t: asymptotics.f_n(5, t), r"zeta = nu\^\(-4/3\) t",
+            -1.0, True),
+    "olver_approx": (lambda x: asymptotics.olver_approx(5, x), "x", 0.5,
+                     True),
+}
+_SCALAR_ONLY = [k for k, v in _REAL_ARGUMENTS.items() if v[3]]
+
+
+class TestRealArguments:
+    """One gate, specfun._check_real, checks every real argument."""
+
+    @pytest.mark.parametrize("entry", list(_REAL_ARGUMENTS))
+    def test_rejects_non_finite_and_out_of_range(self, entry):
+        call, name, outside, scalar = _REAL_ARGUMENTS[entry]
+        for v in [math.nan, math.inf, -math.inf] + [outside] * (
+                outside is not None):
+            for arg in [v] if scalar else [v, np.array([2.0, v])]:
+                with pytest.raises(ValueError, match="^%s must be finite"
+                                   % name):
+                    call(arg)
+
+    @pytest.mark.parametrize("entry", _SCALAR_ONLY)
+    def test_scalar_entry_points(self, entry):
+        call = _REAL_ARGUMENTS[entry][0]
+        for arr in (np.array([2.0]), np.array([2.0, 3.0])):
+            with pytest.raises(TypeError):
+                call(arr)
+        assert call("2.0") == call(2.0)
 
 
 class TestOscillatorState:
