@@ -125,9 +125,8 @@ def f_of_x_values(x):
 
 def f_n(n, t):
     """f evaluated at the x corresponding to zeta = nu^(-4/3) t <= ZETA_MAX."""
-    levels = specfun._check_levels([n])
+    nu23 = series.nu23_of_levels(specfun._check_levels([n])[0])
     t = float(t)
-    nu23 = series.nu23_of_levels(levels)
     zeta = specfun._check_real(1.0 / (nu23 * nu23) * t, "zeta = nu^(-4/3) t",
                                0.0, ZETA_MAX, "ZETA_MAX")[0]
     e, ok = _kernels.invert_zeta_values(zeta)
@@ -142,11 +141,11 @@ def big_f_n(n):
     Lies in (0, F_INFINITY] and approaches F_INFINITY from below as n grows.
 
     F_n depends on n only through s = (2n+1)^(-2/3), and is summed from the
-    18-term Chebyshev series series.F.  This is the one-level case of
-    big_f_n_values.  Against 30-digit mpmath the error stays within 4 eps
-    F_n from n = 1 to 10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
+    18-term Chebyshev series series.F, with the bits of big_f_n_values.
+    Against 30-digit mpmath the error stays within 4 eps F_n from n = 1 to
+    10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
     """
-    return float(big_f_n_values([n])[0])
+    return float(series.evaluate(series.F, specfun._check_levels([n], 1)[0])[0])
 
 
 def big_f_n_values(ns):
@@ -204,14 +203,14 @@ def olver_approx(n, x):
     """
     n = int(specfun._check_levels([n], 1)[0])
     x = float(x)
+    e = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")[0] - 1.0
     nu2 = 2.0 * n + 1.0
-    zp = zeta_of_x(x)
-    fq = f_of_x(x)
     log_cn = (0.5 * math.log(2.0 * math.pi) - 0.25 * nu2
               + (3.0 * nu2 - 1.0) / 12.0 * math.log(nu2))
-    log_pref = log_cn + 0.25 * math.log(fq)
-    nu23 = float(series.nu23_of_levels([n])[0])
-    t = nu23 * nu23 * zp.zeta
+    log_pref = log_cn + 0.25 * math.log(_kernels.f_from_e(e)[0])
+    # Python floats: t overflows to inf quietly, and airy_ai refuses it.
+    nu23 = float(series.nu23_of_levels(n))
+    t = nu23 * nu23 * float(_kernels.zeta_from_e(e)[0])
     av = specfun.airy_ai(t)
     rhs = 0.0
     if av.value > 0.0:

@@ -95,29 +95,28 @@ F = Series(coeffs=(
 
 
 def nu23_of_levels(levels):
-    """nu^(2/3) = cbrt(2n+1) of checked levels as a float64 array, from the
-    exact double 2n+1: every level route's one map to s = 1/nu23^2."""
-    return np.cbrt(2.0 * np.array(levels, dtype=np.float64) + 1.0)
+    """nu^(2/3) = cbrt(2n+1) of one checked level or a sequence, in float64,
+    from the exact double 2n+1: every level route's one map to s."""
+    return np.cbrt(2.0 * np.asarray(levels, dtype=np.float64) + 1.0)
 
 
 def chebyshev_of_s(series, s):
-    """G(s) of series on an array s, by Clenshaw's recurrence."""
+    """G(s) of series at one s or an array, by Clenshaw's recurrence from
+    the top coefficient: the exact first step from b1 = b2 = 0."""
     x = 2.0 * s / series.s_max - 1.0
     x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in series.coeffs[:0:-1]:
+    b1, b2 = series.coeffs[-1], 0.0
+    for c in series.coeffs[-2:0:-1]:
         b1, b2 = c + x2 * b1 - b2, b1
     return series.coeffs[0] + x * b1 - b2
 
 
 def evaluate(series, levels):
-    """The values of series and their err_estimates at checked levels, as
-    two float64 arrays in input order."""
+    """The values of series and their err_estimates at one checked level or
+    a sequence of them, in float64 of the levels' shape."""
     nu23 = nu23_of_levels(levels)
     values = chebyshev_of_s(series, 1.0 / (nu23 * nu23))
     if series.over_nu23:
-        values /= nu23
-    if 0 in levels:
-        values[nu23 == 1.0] = series.at_zero
+        values = values / nu23
+    values = np.where(nu23 == 1.0, series.at_zero, values)
     return values, (series.err_eps * _EPS) * values

@@ -155,7 +155,7 @@ def hermite_psi_squared(n, x):
     _check_n(n)
     arr, scalar = _check_real(x, "x")
     psi = _kernels.hermite_values(int(n), arr)
-    out = np.maximum(psi * psi, 0.0)
+    out = psi * psi
     return float(out[0]) if scalar else out
 
 

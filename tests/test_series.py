@@ -1,20 +1,25 @@
 """Every P_n and F_n comes from one evaluator of osctun.series, so a
 level's bits do not depend on the sweep around it."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from osctun import specfun
+from osctun import series, specfun
 from osctun.asymptotics import big_f_n, big_f_n_values
 from osctun.quadrature import tunneling_exact, tunneling_exact_values
 
 
-def _sweeps(lowest):
+def _levels(lowest):
     # Half the draws stay below 10^6, where the CLI's sweeps and the series'
     # special case n = 0 lie; the rest span every level whose 2n+1 fits a
     # double.
-    level = st.one_of(st.integers(lowest, 10 ** 6),
-                      st.integers(lowest, specfun._MAX_LEVEL))
-    return st.lists(level, min_size=1, max_size=64)
+    return st.one_of(st.integers(lowest, 10 ** 6),
+                     st.integers(lowest, specfun._MAX_LEVEL))
+
+
+def _sweeps(lowest):
+    return st.lists(_levels(lowest), min_size=1, max_size=64)
 
 
 def _bits(values):
@@ -39,3 +44,33 @@ class TestSweepBits:
     @given(ns=_sweeps(1))
     def test_f_n(self, ns):
         assert _bits(big_f_n_values(ns)) == _bits(big_f_n(n) for n in ns)
+
+
+class TestShapeBits:
+    """One level, or one s, has the bits it has as element 0 of a
+    one-element sequence, so a caller may pass either."""
+
+    @pytest.mark.parametrize("record, lowest", [(series.P, 0), (series.F, 1)])
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_evaluate(self, record, lowest, data):
+        n = data.draw(_levels(lowest))
+        value, err = series.evaluate(record, n)
+        values, errs = series.evaluate(record, [n])
+        assert _bits([value, err]) == _bits([values[0], errs[0]])
+
+    @pytest.mark.parametrize("record", [series.P, series.F])
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(s=st.floats(0.0, series.S_MAX))
+    def test_chebyshev_of_s(self, record, s):
+        assert _bits([series.chebyshev_of_s(record, s)]) == _bits(
+            series.chebyshev_of_s(record, np.array([s])))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(n=_levels(0))
+    def test_nu23_of_levels(self, n):
+        assert _bits([series.nu23_of_levels(n)]) == _bits(
+            series.nu23_of_levels([n]))
