@@ -3,7 +3,7 @@
 Usage:
     python3 benchmarks/bench_kernels.py [--size 200000] [--repeats 7]
 
-Prints five tables, the first four each the best of --repeats runs:
+Prints six tables, the first four each the best of --repeats runs:
 
 1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
    with its error envelope, the turning-point map inversion) on --size
@@ -34,10 +34,19 @@ Prints five tables, the first four each the best of --repeats runs:
    directory: wall time, and the child's peak resident set
    (RUSAGE_CHILDREN, read by a fresh python that runs only that child).
    Each is run once, not best of --repeats.
+6. The fresh-process cost of import osctun, osctun.cli: IMPORT_CHILDREN
+   child pythons each import numpy and then time, with perf_counter,
+   import osctun, osctun.cli, so numpy's own import is left out; the
+   median and quartiles.  They run with PYTHONDONTWRITEBYTECODE=1 on a
+   copy of the package with no __pycache__, so every child compiles
+   osctun, as a fresh checkout does.  The child's own clock is used
+   because the wall time of a whole child varies by more than this cost.
 """
 
 import argparse
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -53,6 +62,14 @@ from osctun import _kernels, analysis, cli, quadrature, series  # noqa: E402
 # One tunneling_exact call costs about the same at any level, so the loop
 # of one call per level is timed on sweeps of at most this many levels.
 LOOP_LEVELS = 10 ** 4
+
+# Children timed for the import cost, which varies by several ms a child.
+IMPORT_CHILDREN = 21
+
+_IMPORT_CHILD = ("import time, numpy\n"
+                 "start = time.perf_counter()\n"
+                 "import osctun, osctun.cli\n"
+                 "print(time.perf_counter() - start)\n")
 
 
 def best_of(repeats, fn, *args):
@@ -190,6 +207,24 @@ def million_table():
                                            float(wall), int(peak_kb) / 1024))
 
 
+def import_table():
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(src, os.path.join(tmp, "osctun"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        costs = [float(subprocess.run(
+            [sys.executable, "-c", _IMPORT_CHILD], env=env, check=True,
+            capture_output=True, text=True).stdout)
+            for _ in range(IMPORT_CHILDREN)]
+    q1, median, q3 = statistics.quantiles(costs, n=4)
+    print("\nfresh-process import after numpy: %d children" % IMPORT_CHILDREN)
+    print("%-20s %10s %12s %10s" % ("import", "q1 [ms]", "median [ms]",
+                                    "q3 [ms]"))
+    print("%-20s %10.1f %12.1f %10.1f" % ("osctun, osctun.cli", 1e3 * q1,
+                                          1e3 * median, 1e3 * q3))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=200000,
@@ -202,6 +237,7 @@ def main():
     cli_table(args.repeats)
     writer_table(args.repeats)
     million_table()
+    import_table()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ ratio_sweep zip their columns into rows.
 """
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,38 +24,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(namedtuple("ComparisonRow", "n p_exact p_leading "
+                               "p_second err_leading err_second "
+                               "scaled_err_second")):
     """Exact vs asymptotic tunneling probabilities at one n."""
-    n: int
-    p_exact: float
-    p_leading: float
-    p_second: float
-    err_leading: float
-    err_second: float
-    scaled_err_second: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(namedtuple("LemmaReport", "grid_size max_violation "
+                             "endpoint_left endpoint_decay passed")):
     """Numerical check that f is monotone decreasing from 2^(-2/3) toward 0."""
-    grid_size: int
-    max_violation: float
-    endpoint_left: float
-    endpoint_decay: float
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(namedtuple("FigureData", "figure_id columns values")):
     """Tabular dataset behind one figure: column names plus one list or
     array of values per column."""
-    figure_id: int
-    columns: tuple
-    values: list
+    __slots__ = ()
 
 
-_COMPARISON_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 # n^(4/3) stays finite to about 1.5525e231, 2^768 too, as 4/3 rounds down.
 _COMPARE_LEVEL_LIMIT = 2 ** 768
 
@@ -87,8 +74,8 @@ def comparison_table(n_values):
     err_sec = np.abs(p - sec)
     # Python's pow, as in _asymptotic_terms, and one rounding per product.
     n43 = np.array([float(n) ** (4.0 / 3.0) for n in ns], dtype=np.float64)
-    return _COMPARISON_COLUMNS, [ns, p, lead, sec, np.abs(p - lead), err_sec,
-                                 err_sec * n43]
+    return ComparisonRow._fields, [ns, p, lead, sec, np.abs(p - lead),
+                                   err_sec, err_sec * n43]
 
 
 def lemma_check(x_max, grid_size):
@@ -107,7 +94,10 @@ def lemma_check(x_max, grid_size):
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
 
-    e_min, e_max = 1e-9, x_max - 1.0
+    # The grid starts at x - 1 = 1e-9, or at (x_max - 1)/2 when x_max is
+    # closer to 1 than 2e-9, so it lies inside (1, x_max] and increases.
+    e_max = x_max - 1.0
+    e_min = min(1e-9, 0.5 * e_max)
     ratio = np.arange(grid_size) / (grid_size - 1.0)
     e = e_min * (e_max / e_min) ** ratio
     e[-1] = e_max

@@ -13,7 +13,7 @@ its frozen Chebyshev series, the record osctun.series.F.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,26 +44,20 @@ F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 X_MAX = 1e153
 ZETA_MAX = 8.254818122236567e+203
 
-@dataclass(frozen=True)
-class ZetaPoint:
+
+class ZetaPoint(namedtuple("ZetaPoint", "x zeta regime")):
     """A paired (x, zeta) value of the turning-point map with its regime tag."""
-    x: float
-    zeta: float
-    regime: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OlverApprox:
+class OlverApprox(namedtuple("OlverApprox",
+                             "n x rhs_value eps_bound log_prefactor")):
     """Uniform approximation to e^(-nu^2 x^2/2) H_n(nu x) at one point.
 
     log_prefactor holds log(c_n (zeta/(x^2-1))^(1/4)); rhs_value is the full
     right-hand side and eps_bound the guaranteed multiplier on Ai.
     """
-    n: int
-    x: float
-    rhs_value: float
-    eps_bound: float
-    log_prefactor: float
+    __slots__ = ()
 
 
 class IterationLimitError(RuntimeError):

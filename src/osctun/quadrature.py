@@ -12,7 +12,7 @@ production route runs the engine; the tests check both series with it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -51,8 +51,10 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(namedtuple(
+        "QuadratureConfig", "rel_tol abs_tol max_subdivisions "
+        "tail_cutoff_decades semi_infinite_strategy",
+        defaults=(1e-11, 1e-15, 2000, 20.0, "truncation"))):
     """Tolerances and budget for the adaptive engine.
 
     rel_tol and abs_tol must be positive, max_subdivisions at least 10,
@@ -60,13 +62,17 @@ class QuadratureConfig:
     default route for unbounded integrals.  It stays as the tests' oracle
     config, and because perfbench passes one to tunneling_exact.
     """
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-15
-    max_subdivisions: int = 2000
-    tail_cutoff_decades: float = 20.0
-    semi_infinite_strategy: str = "truncation"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    # _replace builds through _make, which bypasses __new__.
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._checked()
+
+    def _checked(self):
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise ValueError("rel_tol must be positive and finite")
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
@@ -79,18 +85,16 @@ class QuadratureConfig:
         if self.semi_infinite_strategy not in ("truncation", "substitution"):
             raise ValueError("unknown semi_infinite_strategy %r"
                              % (self.semi_infinite_strategy,))
+        return self
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-@dataclass(frozen=True)
-class TunnelingResult:
+class TunnelingResult(namedtuple("TunnelingResult",
+                                 "n value method err_estimate")):
     """Tunneling probability for level n with its method tag and error estimate."""
-    n: int
-    value: float
-    method: str
-    err_estimate: float
+    __slots__ = ()
 
 
 class NonConvergenceError(RuntimeError):

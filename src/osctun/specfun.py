@@ -12,7 +12,7 @@ large-argument expansion above it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,11 +30,9 @@ _METHOD_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class OscillatorState:
+class OscillatorState(namedtuple("OscillatorState", "n nu")):
     """Quantum number n and its turning-point coordinate nu = sqrt(2n+1)."""
-    n: int
-    nu: float
+    __slots__ = ()
 
     @classmethod
     def from_n(cls, n):
@@ -42,21 +40,15 @@ class OscillatorState:
         return cls(n=int(n), nu=math.sqrt(2.0 * n + 1.0))
 
 
-@dataclass(frozen=True)
-class AiryValue:
+class AiryValue(namedtuple("AiryValue", "t value method err_estimate")):
     """Ai(t) with the branch that produced it and an error estimate."""
-    t: float
-    value: float
-    method: str
-    err_estimate: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GammaConstants:
-    gamma_one_third: float
-    gamma_two_thirds: float
-    ai_zero: float
-    ai_prime_zero: float
+class GammaConstants(namedtuple("GammaConstants", "gamma_one_third "
+                                "gamma_two_thirds ai_zero ai_prime_zero")):
+    """Gamma(1/3), Gamma(2/3), Ai(0) and Ai'(0)."""
+    __slots__ = ()
 
 
 _G13 = 2.6789385347077475

@@ -1,6 +1,5 @@
 """Sweeps, the monotonicity report, and figure datasets."""
 
-import dataclasses
 import math
 import warnings
 
@@ -70,14 +69,12 @@ class TestCompareSweep:
         # vector pow in the table fails here.  The table's columns, zipped,
         # and compare_sweep's rows are both checked.
         columns, values = analysis.comparison_table(ns)
-        assert columns == tuple(f.name for f in
-                                dataclasses.fields(analysis.ComparisonRow))
+        assert columns == analysis.ComparisonRow._fields
         assert values[0] == ns
         assert all(c.dtype == np.float64 and c.shape == (len(ns),)
                    for c in values[1:])
         table_rows = list(zip(ns, *(c.tolist() for c in values[1:])))
-        sweep_rows = [dataclasses.astuple(r)
-                      for r in analysis.compare_sweep(ns)]
+        sweep_rows = [tuple(r) for r in analysis.compare_sweep(ns)]
         assert len(table_rows) == len(sweep_rows) == len(ns)
         for n, row, swept in zip(ns, table_rows, sweep_rows):
             p = quadrature.tunneling_exact_values([n])[0].value
@@ -149,6 +146,16 @@ class TestLemmaCheck:
             assert 0.0 < f_of_x(1e39) < 1e-26
             assert zeta_of_x(1e39).regime == "direct"
             assert analysis.lemma_check(1e40, 10000).passed
+
+    @pytest.mark.parametrize("x_max", [1.0 + 5e-10, 1.0000000001,
+                                       1.0 + 1e-12, 1.0 + 2.0 ** -52])
+    def test_grid_inside_a_narrow_domain(self, x_max):
+        # x_max - 1 below the grid's usual start 1e-9: the grid still lies
+        # inside (1, x_max] and increases, so f is seen to decrease.
+        rep = analysis.lemma_check(x_max, 100)
+        assert rep.passed
+        assert rep.max_violation <= 0.0
+        assert rep.endpoint_decay == f_of_x(x_max)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
