@@ -20,8 +20,8 @@ Prints six tables, the first four each the best of --repeats runs:
    (cli._build_parser.__wrapped__), parsing argv with the cached parser,
    the table's columns (analysis.ratio_table or
    analysis.comparison_table), the block writer cli._csv_columns on
-   them, staging (cli._run with the finished text, which checks the
-   tolerances and writes and replaces the file), and the whole cli.main
+   them, staging (cli._run with the finished text, which writes and
+   replaces the file), and the whole cli.main
    call, whose parser is built once and then reused.  main is about
    parse + columns + write + stage; a one-shot process pays the build on
    top.

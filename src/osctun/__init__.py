@@ -27,9 +27,9 @@ route runs it.
 from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,
                       airy_ai, airy_ai_prime, hermite_psi, hermite_psi_squared)
 from .quadrature import (DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig,
-                         TruncationFailureError, TunnelingResult,
-                         integrate_finite, integrate_semi_infinite,
-                         tunneling_exact, tunneling_exact_values)
+                         TunnelingResult, integrate_finite,
+                         integrate_semi_infinite, tunneling_exact,
+                         tunneling_exact_values)
 from .asymptotics import (C1, C2, F_INFINITY, IterationLimitError, OlverApprox,
                           ZetaPoint, big_f_n, big_f_n_values, f_n, f_of_x,
                           leading_term,
@@ -43,7 +43,7 @@ __all__ = [
     "GAMMA", "AiryValue", "GammaConstants", "OscillatorState",
     "airy_ai", "airy_ai_prime", "hermite_psi", "hermite_psi_squared",
     "DEFAULT_CONFIG", "NonConvergenceError", "QuadratureConfig",
-    "TruncationFailureError", "TunnelingResult",
+    "TunnelingResult",
     "integrate_finite", "integrate_semi_infinite", "tunneling_exact",
     "tunneling_exact_values",
     "C1", "C2", "F_INFINITY", "IterationLimitError", "OlverApprox",

@@ -36,7 +36,7 @@ class OscillatorState(namedtuple("OscillatorState", "n nu")):
 
     @classmethod
     def from_n(cls, n):
-        _check_n(n)
+        _check_levels([n])
         return cls(n=int(n), nu=math.sqrt(2.0 * n + 1.0))
 
 

@@ -21,11 +21,6 @@ def warm_kernels():
 
 
 @pytest.fixture()
-def cfg():
-    return osctun.QuadratureConfig()
-
-
-@pytest.fixture()
 def child_env():
     # A child python imports the same osctun as this process, whether that
     # came from PYTHONPATH or from pytest's own pythonpath setting.

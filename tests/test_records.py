@@ -13,9 +13,7 @@ RECORDS = [
     (specfun.AiryValue, ("t", "value", "method", "err_estimate")),
     (specfun.GammaConstants, ("gamma_one_third", "gamma_two_thirds",
                               "ai_zero", "ai_prime_zero")),
-    (quadrature.QuadratureConfig, ("rel_tol", "abs_tol", "max_subdivisions",
-                                   "tail_cutoff_decades",
-                                   "semi_infinite_strategy")),
+    (quadrature.QuadratureConfig, ("rel_tol", "abs_tol", "max_subdivisions")),
     (quadrature.TunnelingResult, ("n", "value", "method", "err_estimate")),
     (asymptotics.ZetaPoint, ("x", "zeta", "regime")),
     (asymptotics.OlverApprox, ("n", "x", "rhs_value", "eps_bound",
@@ -29,9 +27,7 @@ RECORDS = [
 ]
 
 # Field values every record accepts: QuadratureConfig's pass its checks.
-_VALUES = {"rel_tol": 1e-10, "abs_tol": 1e-14, "max_subdivisions": 100,
-           "tail_cutoff_decades": 10.0, "semi_infinite_strategy":
-           "substitution"}
+_VALUES = {"rel_tol": 1e-10, "abs_tol": 1e-14, "max_subdivisions": 100}
 
 
 @pytest.mark.parametrize("record, fields", RECORDS,
@@ -58,8 +54,7 @@ def test_config_replace_checks_its_fields():
     with pytest.raises(ValueError, match="rel_tol"):
         quadrature.QuadratureConfig()._replace(rel_tol=-1.0)
     with pytest.raises(ValueError, match="max_subdivisions"):
-        quadrature.QuadratureConfig._make([1e-10, 1e-14, 9, 20.0,
-                                           "truncation"])
+        quadrature.QuadratureConfig._make([1e-10, 1e-14, 9])
     assert (quadrature.QuadratureConfig()._replace(abs_tol=1e-12)
             == quadrature.QuadratureConfig(abs_tol=1e-12))
 

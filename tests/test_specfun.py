@@ -253,6 +253,14 @@ class TestOscillatorState:
         with pytest.raises(ValueError):
             specfun.OscillatorState.from_n(-3)
 
+    @pytest.mark.parametrize("n", [2 ** 1023, 10 ** 400],
+                             ids=["2^1023", "10^400"])
+    def test_rejects_levels_past_a_double(self, n):
+        # The same refusal as every other level route, not nu = inf or an
+        # OverflowError.
+        with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
+            specfun.OscillatorState.from_n(n)
+
 
 class TestOneSMap:
     """Every route from a level to s = (2n+1)^(-2/3) takes nu^(2/3) from
