@@ -5,9 +5,11 @@ Usage:
 
 Prints six tables, the first four each the best of --repeats runs:
 
-1. Three elementwise kernels (oscillator eigenfunctions, the Airy function
-   with its error envelope, the turning-point map inversion) on --size
-   points.
+1. Five elementwise kernels (oscillator eigenfunctions, the Airy function
+   with its error envelope, the turning-point map zeta(x), its f ratio and
+   its inversion) on --size points.  The forward map takes x in [1, 11],
+   a tenth of it below the seam x = 2, and the inversion zeta in [0, 30],
+   a twentieth of it below zeta(2).
 2. Multi-level sweeps.  P_n by one pass of the series evaluator on the
    vector of levels (osctun.series.evaluate on the record series.P,
    which builds no result objects), next to one tunneling_exact call per
@@ -85,10 +87,13 @@ def kernel_table(size, repeats):
     rng = np.random.default_rng(7)
     x = rng.uniform(-12.0, 12.0, size)
     t = rng.uniform(-1.0, 50.0, size)
+    e = rng.uniform(0.0, 10.0, size)
     zeta = rng.uniform(0.0, 30.0, size)
     cases = [
         ("hermite n=120", _kernels.hermite_values, (120, x)),
         ("airy [-1,50]", _kernels.airy_values, (t,)),
+        ("zeta forward", _kernels.zeta_from_e, (e,)),
+        ("f forward", _kernels.f_from_e, (e,)),
         ("zeta inverse", _kernels.invert_zeta_values, (zeta,)),
     ]
     print("kernels: size = %d, best of %d runs" % (size, repeats))

@@ -1,8 +1,8 @@
 """Low-level numerical kernels, vectorized with numpy.
 
 Everything here operates on raw float64 scalars/arrays and performs no input
-validation; the public modules own the contracts.  The frozen P_n and F_n
-series, with their Clenshaw sum, have their one home in osctun.series.
+validation; the public modules own the contracts.  The frozen series, with
+their Clenshaw sum, have their one home in osctun.series.
 
 Kernels:
 - hermite_values(n, x):       oscillator eigenfunction psi_n on an x array,
@@ -11,17 +11,18 @@ Kernels:
                               dd-compensated Maclaurin series below T_SWITCH,
                               whose one loop sums F, G and both derivatives,
                               20-term asymptotic expansion above
-- invert_zeta_values(zeta):   x - 1 solving zeta(x) = zeta, series seed plus
-                              safeguarded Newton on the 3/2-power form
+- invert_zeta_values(zeta):   x - 1 solving zeta(x) = zeta, series.PSI up
+                              to zeta(2), safeguarded Newton above
 - zeta_from_e(e), f_from_e(e): forward turning-point map and its f ratio,
-                              series near e = x - 1 = 0, direct form elsewhere;
-                              x^2 - 1 = e(2+e) overflows from x ~ 1.34e154
-- _horner(coeffs, x):         the one Horner sum of the three map series
+                              series.PHI below e = x - 1 = 1, direct form
+                              from there; x^2 - 1 overflows from x ~ 1.34e154
 """
 
 import math
 
 import numpy as np
+
+from . import series
 
 # ---------------------------------------------------------------------------
 # constants
@@ -30,7 +31,6 @@ SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
 INV_LN2 = 1.0 / math.log(2.0)
 TWO_13 = 2.0 ** (1.0 / 3.0)        # 2^(1/3)
-TWO_M13 = 2.0 ** (-1.0 / 3.0)
 TWO_M23 = 2.0 ** (-2.0 / 3.0)      # f at the turning point
 
 # recurrence renormalization thresholds; +-600 keeps mantissa*mantissa safe
@@ -74,50 +74,9 @@ for _k in range(1, 26):
     _ASY_V[_k] = -_ASY_U[_k] * (6 * _k + 1) / (6 * _k - 1.0)
 del _k
 
-# zeta(1+e) = 2^(1/3) e (c0 + c1 e + ...); exact rationals from series
-# reversion of (3/4)(x sqrt(x^2-1) - arccosh x) = zeta^(3/2)
-ZETA_SERIES_C = np.array([
-    1.0,
-    1.0 / 10.0,
-    -2.0 / 175.0,
-    37.0 / 15750.0,
-    -1849.0 / 3031875.0,
-    71237.0 / 394143750.0,
-    -3627836.0 / 62077640625.0,
-    30316679.0 / 1507599843750.0,
-    -39984347342.0 / 5514046428515625.0,
-])
-
-# f(1+e) = 2^(-2/3) (f0 + f1 e + ...), f = zeta/(x^2-1)
-F_SERIES_C = np.array([
-    1.0,
-    -2.0 / 5.0,
-    33.0 / 175.0,
-    -724.0 / 7875.0,
-    137521.0 / 3031875.0,
-    -914.0 / 40625.0,
-    694697869.0 / 62077640625.0,
-    -29418551056.0 / 5276599453125.0,
-    5110402859806.0 / 1838015476171875.0,
-])
-
-# inverse map e(w) = w (b0 + b1 w + ...), w = 2^(-1/3) zeta
-INV_SERIES_B = np.array([
-    1.0,
-    -1.0 / 10.0,
-    11.0 / 350.0,
-    -823.0 / 63000.0,
-    150653.0 / 24255000.0,
-    -3362377.0 / 1051050000.0,
-    156912407.0 / 90294750000.0,
-    -132463501789.0 / 135080946000000.0,
-])
-
-# regime boundaries; seams verified to ~3e-15 relative
-DELTA_ZETA_SERIES = 1e-3   # forward map: series for e < delta, direct beyond
-DELTA_F_SERIES = 0.05      # f ratio: wider zone, no cancellation in either form
-ZETA_INV_SERIES = 0.02     # inverse: series alone is at roundoff below this
-ZETA_INV_BIG = 1.2         # inverse: Newton seed from the large-zeta form above
+# The map's one seam: PHI serves e = x - 1 < 1, PSI zeta <= ZETA_2, the
+# double nearest zeta(2)
+ZETA_2 = series.PSI.s_max
 
 _NEWTON_RTOL = 1e-14       # on the 3/2-power residual; ~6.7e-15 in zeta
 _NEWTON_MAX = 100
@@ -171,28 +130,7 @@ def dd_div_d(ah, al, b):
 
 
 # ---------------------------------------------------------------------------
-# elementwise turning-point map pieces
-
-def _horner(coeffs, x):
-    """sum_i coeffs[i] x^i by Horner's rule, elementwise on x."""
-    acc = x * 0.0 + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def g_of_e(e):
-    """(3/4)(x sqrt(x^2-1) - arccosh x) at x = 1+e, i.e. zeta^(3/2).
-
-    Written in e so x^2-1 = e(2+e) carries no cancellation; arccosh through
-    log1p for the same reason.  Accurate for e >~ 1e-3 (series covers below).
-    """
-    r = np.sqrt(e * (2.0 + e))
-    return 0.75 * ((1.0 + e) * r - np.log1p(e + r))
-
-
-# ---------------------------------------------------------------------------
-# Hermite recurrence, Airy function and inverse turning-point map on arrays
+# Hermite recurrence, Airy function and turning-point map on arrays
 
 def hermite_values(n, x):
     """psi_n at each x via the normalized recurrence on a scaled mantissa.
@@ -338,19 +276,15 @@ def invert_zeta_values(zeta):
     kept for the contract).
     """
     zeta = np.asarray(zeta, dtype=np.float64)
-    # The series seed is used only up to ZETA_INV_BIG, so it sees no larger
-    # zeta and a large zeta cannot overflow it.
-    zs = TWO_M13 * np.minimum(zeta, ZETA_INV_BIG)
     w = zeta * np.sqrt(zeta)
-    e = np.where(zeta > ZETA_INV_BIG, np.sqrt(4.0 * w / 3.0) - 1.0,
-                 zs * _horner(INV_SERIES_B, zs))
-    active = zeta > ZETA_INV_SERIES
-    if not active.any():
-        return e, True
-    # [0, 2e + 1] brackets the root of g(e) = w.  Above ZETA_INV_BIG, hi
-    # puts x = 1 + hi at 2 sqrt(4w/3), and x sqrt(x^2-1) >= x^2 - 1 with
-    # arccosh x <= ln 2x give g(hi) >= 4w - 3/4 - (3/4) ln 2x > w for every
-    # w > 1.2^(3/2).  Below it, hi >= 1 and g(1) = 1.61 > 1.2^(3/2) >= w.
+    # PSI sees no zeta above its interval, so a large zeta cannot overflow
+    # it; above ZETA_2 Newton starts from the large-zeta form.
+    near = zeta * series.chebyshev_of_s(series.PSI, np.minimum(zeta, ZETA_2))
+    active = zeta > ZETA_2
+    e = np.where(active, np.sqrt(4.0 * w / 3.0) - 1.0, near)
+    # [0, 2e + 1] brackets the root of g(e) = w: x = 1 + hi = 2 sqrt(4w/3),
+    # and x sqrt(x^2-1) >= x^2 - 1 with arccosh x <= ln 2x give g(hi) >=
+    # 4w - 3/4 - (3/4) ln 2x > w for every zeta > 1.2, ZETA_2 ~ 1.374 too.
     lo = np.zeros_like(e)
     hi = 2.0 * e + 1.0
     for _ in range(_NEWTON_MAX):
@@ -375,22 +309,37 @@ def invert_zeta_values(zeta):
     return e, not active.any()
 
 
-def zeta_from_e(e):
-    """Forward map zeta(1+e) on an array; series under the seam, else direct."""
+def g_of_e(e):
+    """(3/4)(x sqrt(x^2-1) - arccosh x) at x = 1+e, i.e. zeta^(3/2).
+
+    Written in e, arccosh through log1p, so x^2-1 = e(2+e) cancels nothing;
+    the difference cancels about log10(1/(2e)) digits, under one from e = 1.
+    """
+    r = np.sqrt(e * (2.0 + e))
+    return 0.75 * ((1.0 + e) * r - np.log1p(e + r))
+
+
+def _map_parts(e):
+    # e, the mask e < 1 where PHI serves, 2^(1/3) PHI(e) (on e <= 1 only,
+    # so a large e cannot overflow it) and the direct zeta, g^(2/3) as
+    # cbrt(g) squared: g ** (2.0 / 3.0) would err by about 3.7e-17 ln g
+    # relative (2.6e-14 at x = 1e153), as 2.0 / 3.0 does.
     e = np.asarray(e, dtype=np.float64)
-    # The series sees no e above its seam, so a large e cannot overflow it.
-    es = np.minimum(e, DELTA_ZETA_SERIES)
-    ser = TWO_13 * es * _horner(ZETA_SERIES_C, es)
-    # g^(2/3) as cbrt(g) squared: g ** (2.0 / 3.0) would err by about
-    # 3.7e-17 ln g relative (2.6e-14 at x = 1e153), as 2.0 / 3.0 does.
+    phi = TWO_13 * series.chebyshev_of_s(series.PHI, np.minimum(e, 1.0))
     c = np.cbrt(g_of_e(e))
-    return np.where(e < DELTA_ZETA_SERIES, ser, c * c)
+    return e, e < 1.0, phi, c * c
+
+
+def zeta_from_e(e):
+    """Forward map zeta(1+e) on an array; 2^(1/3) e PHI(e) below e = 1,
+    else direct."""
+    e, near, phi, direct = _map_parts(e)
+    return np.where(near, e * phi, direct)
 
 
 def f_from_e(e):
-    """f = zeta/(x^2-1) at x = 1+e on an array; continuous limit 2^(-2/3) at 0."""
-    e = np.asarray(e, dtype=np.float64)
-    ser = TWO_M23 * _horner(F_SERIES_C, np.minimum(e, DELTA_F_SERIES))
-    small = e < DELTA_F_SERIES
-    denom = np.where(small, 1.0, e * (2.0 + e))
-    return np.where(small, ser, zeta_from_e(e) / denom)
+    """f = zeta/(x^2-1) at x = 1+e on an array; 2^(1/3) PHI(e)/(2+e) below
+    e = 1, so f(1) = 2^(-2/3), else direct."""
+    e, near, phi, direct = _map_parts(e)
+    return np.where(near, phi / (2.0 + e),
+                    direct / np.where(near, 1.0, e * (2.0 + e)))

@@ -65,17 +65,14 @@ class IterationLimitError(RuntimeError):
 
 
 def zeta_of_x(x):
-    """Map x in [1, X_MAX] to zeta, switching to a series for x - 1 below 1e-3.
-
-    The direct formula loses about two thirds of its digits to cancellation
-    as x -> 1; the series regime restores full precision and the two paths
-    agree to 1e-12 relative at the seam.
+    """Map x in [1, X_MAX] to zeta: regime "series-near-one" below x = 2,
+    from the Chebyshev record series.PHI within 2 eps, where the direct
+    formula cancels about log10(1/(2(x-1))) digits; "direct" from there.
     """
     x = float(x)
     e = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")[0] - 1.0
     zeta = float(_kernels.zeta_from_e(e)[0])
-    regime = ("series-near-one" if e[0] < _kernels.DELTA_ZETA_SERIES
-              else "direct")
+    regime = "series-near-one" if e[0] < 1.0 else "direct"
     return ZetaPoint(x=x, zeta=zeta, regime=regime)
 
 
@@ -89,9 +86,10 @@ def zeta_of_x_values(x):
 def x_of_zeta(zeta):
     """Invert the map: the unique x >= 1 with zeta_of_x(x) = zeta.
 
-    Safeguarded Newton seeded from the series inverse; the residual meets
-    1e-12 * max(1, zeta).  zeta must lie in [0, ZETA_MAX].  Raises
-    IterationLimitError past 100 steps, which no such zeta takes.
+    x - 1 is zeta series.PSI(zeta) up to zeta(2), within 2 eps; above it,
+    safeguarded Newton whose residual meets 1e-12 * zeta.  zeta must lie in
+    [0, ZETA_MAX].  Raises IterationLimitError past 100 steps, which no
+    such zeta takes.
     """
     zeta = float(zeta)
     e, ok = _kernels.invert_zeta_values(

@@ -1,4 +1,5 @@
-"""The frozen Chebyshev series in s = (2n+1)^(-2/3): P_n and F_n.
+"""The frozen Chebyshev series: P_n and F_n in s = (2n+1)^(-2/3), and the
+turning-point map near x = 1.
 
 P_n and F_n depend on the level n only through s = nu^(-4/3) =
 (2n+1)^(-2/3), and each is a smooth function of s on [0, S_MAX],
@@ -14,6 +15,10 @@ multiply-add per coefficient a level, at any level:
 
 nu23_of_levels is every level route's one cube root of 2n+1, so a level's
 bits depend neither on the route nor on the sweep around it.
+
+PHI and PSI carry the map zeta(x) over [1, 2] for osctun._kernels, one
+record per direction, summed by chebyshev_of_s on their own intervals; they
+are not level series, so evaluate does not take them.
 """
 
 import math
@@ -21,8 +26,8 @@ from collections import namedtuple
 
 import numpy as np
 
-__all__ = ["Series", "S_MAX", "P", "F", "nu23_of_levels", "chebyshev_of_s",
-           "evaluate"]
+__all__ = ["Series", "S_MAX", "P", "F", "PHI", "PSI", "nu23_of_levels",
+           "chebyshev_of_s", "evaluate"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -92,6 +97,54 @@ F = Series(coeffs=(
     9.592247901234408e-19,
     -1.4697624216915427e-19,
 ), s_max=S_MAX, err_eps=4.0, over_nu23=False, at_zero=math.nan)
+
+# PHI(e) = zeta(1+e) / (2^(1/3) e) on [0, 1]; c_16 is 1e-19.  Written by
+# tools/gen_series.py from 40-digit samples; do not edit by hand.  zeta and
+# f from it are within 3 eps of 40-digit mpmath, the claim.
+PHI = Series(coeffs=(
+    1.0463161085670156,
+    0.04517712737508947,
+    -0.0010896452043523974,
+    4.666913648694221e-05,
+    -2.5035481318324687e-06,
+    1.5245095263619155e-07,
+    -1.0087473677488035e-08,
+    7.082415164473668e-10,
+    -5.199760798290147e-11,
+    3.953421316830683e-12,
+    -3.0916411780187494e-13,
+    2.4743604623683505e-14,
+    -2.019090927262027e-15,
+    1.6749331104578946e-16,
+    -1.409232289337498e-17,
+    1.2003341045403897e-18,
+), s_max=1.0, err_eps=3.0, over_nu23=False, at_zero=math.nan)
+
+# PSI(zeta) = (x - 1) / zeta on [0, zeta(2)], zeta(2) rounded to a double;
+# c_20 is 5e-20.  Written by tools/gen_series.py from 40-digit samples; do
+# not edit by hand.  x - 1 from it is within 2 eps of 40-digit mpmath.
+PSI = Series(coeffs=(
+    0.7586250843417176,
+    -0.03273266596874165,
+    0.002140576513339177,
+    -0.00018246612377698746,
+    1.7660722207562393e-05,
+    -1.8437406721522652e-06,
+    2.0245741036932807e-07,
+    -2.305176003279607e-08,
+    2.697318415690785e-09,
+    -3.224229075680337e-10,
+    3.920707373504773e-11,
+    -4.835248166886908e-12,
+    6.0337645509108e-13,
+    -7.605026583677296e-14,
+    9.668227380384696e-15,
+    -1.2383342509595824e-15,
+    1.5965239220533534e-16,
+    -2.0702865489451754e-17,
+    2.6985349611202266e-18,
+    -3.533752264618369e-19,
+), s_max=1.3738782622040782, err_eps=2.0, over_nu23=False, at_zero=math.nan)
 
 
 def nu23_of_levels(levels):

@@ -4,7 +4,6 @@ import functools
 import math
 import tracemalloc
 import warnings
-from fractions import Fraction as Fr
 
 import mpmath
 import numpy as np
@@ -21,105 +20,28 @@ from osctun.quadrature import (_GAUSS_IDX, _WG, _WK, _XK,
                                integrate_semi_infinite)
 
 
-# --- exact series re-derivation ------------------------------------------
-# The map satisfies G'(e) = (3/2) sqrt(e(2+e)) for G = zeta^(3/2) at x = 1+e,
-# so G = e^(3/2) sqrt(2) R(e) with R rational:
-# R = (3/2) sum_k binom(1/2,k) 2^(-k) e^k / (k+3/2), R(0) = 1.
-# Everything below reproduces the frozen coefficient arrays from R alone
-# using exact rational arithmetic.
-
-def ser_mul(a, b, m):
-    out = [Fr(0)] * m
-    for i in range(min(len(a), m)):
-        if a[i] == 0:
-            continue
-        for j in range(min(len(b), m - i)):
-            out[i + j] += a[i] * b[j]
-    return out
+_EPS = float(np.finfo(np.float64).eps)
 
 
-def ser_inv(a, m):
-    out = [Fr(0)] * m
-    out[0] = 1 / a[0]
-    for k in range(1, m):
-        s = Fr(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += a[j] * out[k - j]
-        out[k] = -s / a[0]
-    return out
+def mp_zeta(x):
+    """zeta(x) at the working precision."""
+    # x sqrt(x^2 - 1) - arccosh x cancels like (x - 1)^(3/2) near the
+    # turning point; 70 more digits keep zeta at full precision there.
+    with mpmath.extradps(70):
+        r = mpmath.sqrt(x * x - 1)
+        z = (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
+            mpmath.mpf(2) / 3)
+    return +z
 
 
-def ser_log(a, m):
-    ap = [Fr(i + 1) * a[i + 1] for i in range(len(a) - 1)]
-    d = ser_mul(ap, ser_inv(a, m), m)
-    out = [Fr(0)] * m
-    for i in range(m - 1):
-        out[i + 1] = d[i] / (i + 1)
-    return out
-
-
-def ser_exp(a, m):
-    out = [Fr(0)] * m
-    out[0] = Fr(1)
-    for k in range(1, m):
-        s = Fr(0)
-        for j in range(1, k + 1):
-            if j < len(a):
-                s += Fr(j) * a[j] * out[k - j]
-        out[k] = s / k
-    return out
-
-
-def ser_pow(a, p, m):
-    return ser_exp([p * c for c in ser_log(a, m)], m)
-
-
-def ser_compose(a, e, m):
-    out = [Fr(0)] * m
-    out[0] = a[-1]
-    for i in range(len(a) - 2, -1, -1):
-        out = ser_mul(out, e, m)
-        out[0] += a[i]
-    return out
-
-
-def _r_series(m):
-    coeffs = []
-    b = Fr(1)
-    for k in range(m):
-        coeffs.append(Fr(3, 2) * b / (Fr(k) + Fr(3, 2)) / 2 ** k)
-        b = b * (Fr(1, 2) - k) / (k + 1)
-    return coeffs
-
-
-class TestFrozenSeriesCoefficients:
-    def test_zeta_series(self):
-        m = 9
-        zc = ser_pow(_r_series(m), Fr(2, 3), m)
-        for i in range(m):
-            want = float(zc[i].numerator) / float(zc[i].denominator)
-            assert _kernels.ZETA_SERIES_C[i] == want
-
-    def test_f_series(self):
-        m = 9
-        zc = ser_pow(_r_series(m), Fr(2, 3), m)
-        fc = ser_mul(zc, ser_inv([Fr(1), Fr(1, 2)], m), m)
-        assert fc[1] == Fr(-2, 5)
-        for i in range(m):
-            want = float(fc[i].numerator) / float(fc[i].denominator)
-            assert _kernels.F_SERIES_C[i] == want
-
-    def test_inverse_series_by_reversion(self):
-        m = 9
-        zc = ser_pow(_r_series(m), Fr(2, 3), m)
-        e_of_w = [Fr(0), Fr(1)] + [Fr(0)] * (m - 2)
-        for k in range(2, m):
-            p = ser_mul(e_of_w, ser_compose(zc, e_of_w, m), m)
-            e_of_w[k] = -p[k]
-        for j in range(m - 1):
-            want = e_of_w[j + 1]
-            got = _kernels.INV_SERIES_B[j]
-            assert got == float(want.numerator) / float(want.denominator)
+def _ulps_around(center, count):
+    """center and the count doubles on either side of it, in order."""
+    up = [center]
+    down = [center]
+    for _ in range(count):
+        up.append(np.nextafter(up[-1], math.inf))
+        down.append(np.nextafter(down[-1], -math.inf))
+    return np.array(down[:0:-1] + up)
 
 
 class TestZetaMap:
@@ -134,31 +56,28 @@ class TestZetaMap:
         assert abs(ratio - 2.0 ** (1.0 / 3.0)) < 1e-5 * 2.0 ** (1.0 / 3.0)
 
     def test_cosh_one_closed_form(self):
-        want = ((3.0 / 4.0) * (math.sinh(2.0) / 2.0 - 1.0)) ** (2.0 / 3.0)
-        zp = zeta_of_x(math.cosh(1.0))
+        # At x = cosh a, x sqrt(x^2 - 1) = sinh(2a)/2 and arccosh x = a;
+        # a = 2 puts x = 3.76 on the direct branch.
+        want = ((3.0 / 4.0) * (math.sinh(4.0) / 2.0 - 2.0)) ** (2.0 / 3.0)
+        zp = zeta_of_x(math.cosh(2.0))
         assert zp.regime == "direct"
         assert abs(zp.zeta - want) < 1e-13 * want
 
     def test_seam_continuity(self):
-        # Series and direct formulas evaluated at the same point near the
-        # switch must agree to 1e-12 relative.
-        e = _kernels.DELTA_ZETA_SERIES
-        ser = _kernels.TWO_13 * e * float(
-            _kernels._horner(_kernels.ZETA_SERIES_C, e))
-        direct = float(_kernels.g_of_e(np.float64(e))) ** (2.0 / 3.0)
-        assert abs(ser - direct) < 1e-12 * direct
+        # Across the one seam, e = x - 1 = 1 where PHI hands over to the
+        # direct formula, zeta never falls.
+        e = _ulps_around(1.0, 64)
+        assert np.all(np.diff(_kernels.zeta_from_e(e)) >= 0.0)
 
     def test_scalar_and_vector_agree_bitwise(self):
         # One zeta route: the scalar map is the vector map at one point, in
-        # both regimes and a few ulp either side of the 1e-3 seam.
-        d = _kernels.DELTA_ZETA_SERIES
-        e = np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 3000),
-                            d * (1.0 + np.linspace(-1e-12, 1e-12, 41))])
-        x = 1.0 + e
+        # both regimes and a few ulp either side of the seam at x = 2.
+        x = np.concatenate([[1.0], 1.0 + np.geomspace(1e-9, 1e3, 3000),
+                            _ulps_around(2.0, 20)])
         scalar = [zeta_of_x(xi) for xi in x]
         assert np.array_equal([zp.zeta for zp in scalar], zeta_of_x_values(x))
         assert [zp.regime for zp in scalar] == [
-            "series-near-one" if xi - 1.0 < d else "direct" for xi in x]
+            "series-near-one" if xi < 2.0 else "direct" for xi in x]
 
     def test_monotone_on_grid(self):
         x = np.concatenate([np.linspace(1.0, 1.01, 200),
@@ -202,6 +121,50 @@ class TestInverseMap:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             x_of_zeta(-1e-9)
+
+    def test_round_trips_across_the_seam(self):
+        # PSI serves zeta <= zeta(2), Newton above it.  x = 2 +- 64 ulps
+        # maps onto zeta(2) +- 190 ulps, and comes back within 2 ulps of 2.
+        x = _ulps_around(2.0, 64)
+        zeta = zeta_of_x_values(x)
+        band = _ulps_around(_kernels.ZETA_2, 64)
+        assert zeta[0] < band[0] and zeta[-1] > band[-1]
+        back = np.array([x_of_zeta(z) for z in zeta])
+        assert np.all(np.abs(back - x) <= 2.0 * math.ulp(2.0))
+
+
+class TestMapAgainstMpmath:
+    """zeta and f within 3 eps, and x - 1 from the inverse within 2 eps,
+    of 40-digit mpmath: across [1, 11], at the seams of earlier versions
+    (x - 1 = 1e-3 for zeta, 0.05 for f, zeta = 0.02 for the inverse), and
+    at the one seam x = 2, zeta = zeta(2)."""
+
+    def test_zeta_and_f(self):
+        x = np.unique(np.concatenate([
+            np.linspace(1.0, 11.0, 401)[1:], 1.0 + np.geomspace(1e-9, 0.5, 60),
+            [1.001, 1.05], _ulps_around(2.0, 64)]))
+        assert x.size >= 400
+        e = x - 1.0
+        zeta, f = _kernels.zeta_from_e(e), _kernels.f_from_e(e)
+        with mpmath.workdps(40):
+            for ei, zi, fi in zip(e, zeta, f):
+                xm = 1 + mpmath.mpf(ei)
+                zm = mp_zeta(xm)
+                fm = zm / (xm * xm - 1)
+                assert abs(zi - zm) <= 3.0 * _EPS * zm, ei
+                assert abs(fi - fm) <= 3.0 * _EPS * fm, ei
+
+    def test_inverse_below_the_seam(self):
+        zeta = np.concatenate([np.linspace(0.0, _kernels.ZETA_2, 201)[1:],
+                               np.geomspace(1e-12, 0.5, 40), [0.02]])
+        e, ok = _kernels.invert_zeta_values(zeta)
+        assert ok
+        with mpmath.workdps(40):
+            for zi, ei in zip(zeta, e):
+                zm = mpmath.mpf(zi)
+                em = mpmath.findroot(lambda t: mp_zeta(1 + t) - zm,
+                                     mpmath.mpf(ei))
+                assert abs(ei - em) <= 2.0 * _EPS * em, zi
 
 
 class TestMapDomain:
@@ -267,7 +230,8 @@ class TestMapDomain:
 
 class TestProfileFunction:
     def test_left_endpoint(self):
-        assert abs(f_of_x(1.0) - 2.0 ** (-2.0 / 3.0)) < 1e-15
+        # the double nearest 2^(-2/3), which lemma_check requires
+        assert f_of_x(1.0) == 0.6299605249474366 == 2.0 ** (-2.0 / 3.0)
 
     def test_cosh_one(self):
         want = zeta_of_x(math.cosh(1.0)).zeta / math.sinh(1.0) ** 2
@@ -282,12 +246,12 @@ class TestProfileFunction:
         assert np.all(np.diff(f) < 0.0)
 
     def test_seam_continuity(self):
-        e = _kernels.DELTA_F_SERIES
-        ser = _kernels.TWO_M23 * float(
-            _kernels._horner(_kernels.F_SERIES_C, e))
-        direct = (float(_kernels.g_of_e(np.float64(e))) ** (2.0 / 3.0)
-                  / (e * (2.0 + e)))
-        assert abs(ser - direct) < 1e-12 * direct
+        # Across e = x - 1 = 1, f rises by no more than lemma_check's
+        # slack, 2 ulps of f(1).  The direct formula's rounding alone
+        # reaches that just above the seam, where f falls by about 0.1
+        # ulp a step.
+        f = _kernels.f_from_e(_ulps_around(1.0, 64))
+        assert np.all(np.diff(f) <= 2.0 * np.spacing(_kernels.TWO_M23))
 
 
 class TestScaledProfile:
@@ -334,29 +298,20 @@ def mp_big_f_n(n):
     with mpmath.workdps(30):
         nu43 = mpmath.mpf(2 * n + 1) ** (mpmath.mpf(2) / 3)
 
-        def zeta(x):
-            # x sqrt(x^2 - 1) - arccosh x cancels like (x - 1)^(3/2) near
-            # the turning point, where the tanh-sinh nodes crowd; 70 more
-            # digits keep zeta at full precision there.
-            with mpmath.extradps(70):
-                r = mpmath.sqrt(x * x - 1)
-                z = (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
-                    mpmath.mpf(2) / 3)
-            return +z
-
         def integrand(x):
             if x == 1:
                 # sqrt(f(1)) = 2^(-1/3), the limit where zeta/(x^2 - 1)
                 # is 0/0
                 return mpmath.cbrt(0.5) * mpmath.airyai(0) ** 2
-            z = zeta(x)
+            z = mp_zeta(x)
             return mpmath.sqrt(z / (x * x - 1)) * mpmath.airyai(nu43 * z) ** 2
 
         # Panel edges where t = 0.5 .. 80 follow the decay of Ai(t)^2.
         edges = [mpmath.mpf(1)]
         for t in (0.5, 2, 5, 10, 20, 40, 80):
             guess = 1 + t / nu43 / mpmath.mpf(2) ** (mpmath.mpf(1) / 3)
-            edges.append(mpmath.findroot(lambda x: nu43 * zeta(x) - t, guess))
+            edges.append(mpmath.findroot(lambda x: nu43 * mp_zeta(x) - t,
+                                         guess))
         return nu43 * mpmath.quad(integrand, edges)
 
 
@@ -680,7 +635,7 @@ class TestOlver:
     @pytest.mark.parametrize("x, rhs, eps, log_pref", [
         (1.0, 4.164396809032496e+93, 0.00021624459739580645,
          216.6025435574083),
-        (1.3, 1.2847672581933208e+79, 6.859382777309951e-19,
+        (1.3, 1.2847672581933208e+79, 6.859382777309854e-19,
          216.57475730178152),
         (2.0, 0.22441774841045148, 1.2620365897126398e-98, 216.5228244125493),
         (5.0, 0.0, 0.0, 216.39230817665646),
@@ -688,7 +643,9 @@ class TestOlver:
     def test_level_100_unchanged(self, x, rhs, eps, log_pref):
         # Bits of the route before the overflow check was added, except at
         # x = 2, where zeta moved by one ulp when the map took cbrt(g)
-        # squared for g ** (2/3).
+        # squared for g ** (2/3), and at x = 1.3, where eps_bound moved
+        # when zeta came from series.PHI below x = 2 (40-digit mpmath:
+        # 6.8593827773099104e-19).
         oa = olver_approx(100, x)
         assert (oa.rhs_value, oa.eps_bound, oa.log_prefactor) == (
             rhs, eps, log_pref)

@@ -12,9 +12,11 @@ from osctun import _kernels, series
 
 
 def test_inversion_converges_just_above_series_seam():
-    # Direct-form cancellation keeps the residual near the relative
-    # tolerance here; the fixed-point stop must still accept the iterate.
-    zeta = np.array([6.13073943e-05, 2.00340391e-02])
+    # Newton starts just above PSI's interval end from the large-zeta seed,
+    # about half the root there; the fixed-point stop must still accept
+    # the iterate.
+    zeta = np.array([np.nextafter(_kernels.ZETA_2, 2.0),
+                     _kernels.ZETA_2 * (1.0 + 1e-9), 1.5])
     e, ok = _kernels.invert_zeta_values(zeta)
     assert ok
     back = _kernels.zeta_from_e(e)

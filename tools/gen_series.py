@@ -1,13 +1,15 @@
-"""Chebyshev coefficients of the P_n and F_n series in s = (2n+1)^(-2/3).
+"""Chebyshev coefficients of the P_n and F_n series in s = (2n+1)^(-2/3),
+and of the two records of the turning-point map near x = 1.
 
 Usage:
-    python3 tools/gen_series.py            # print both coefficient tuples
-    python3 tools/gen_series.py --check    # compare both with osctun.series
+    python3 tools/gen_series.py            # print the four coefficient tuples
+    python3 tools/gen_series.py --check    # compare them with osctun.series
 
-Both series are functions of s = nu^(-4/3) = (2n+1)^(-2/3) on [0, 3^(-2/3)],
-where s = 3^(-2/3) is n = 1 and s -> 0 is n -> infinity.  Each is sampled at
-first-kind Chebyshev points of that interval, and the discrete cosine
-transform of the samples gives c_k in sum_k c_k T_k(2s/3^(-2/3) - 1).
+The P_n and F_n series are functions of s = nu^(-4/3) = (2n+1)^(-2/3) on
+[0, 3^(-2/3)], where s = 3^(-2/3) is n = 1 and s -> 0 is n -> infinity.
+Each series is sampled at first-kind Chebyshev points of its interval, and
+the discrete cosine transform of the samples gives c_k in
+sum_k c_k T_k(2s/s_hi - 1), s_hi the interval's end.
 
 - P: G(s) = s^(-1/2) P at the real level N, 40 samples at 50 digits,
   c_0..c_20 kept (c_21 is about 1.2e-19), frozen as osctun.series.P.
@@ -32,12 +34,24 @@ The sampled interval ends differ: P's is 3^(-2/3) rounded to 53 bits (the
 double osctun.series.S_MAX, which both records are summed on), F's is
 3^(-2/3) at 40 digits.  One end for both moves 18 of P's 21 coefficients.
 
+The map zeta(x) = ((3/4)(x sqrt(x^2-1) - arccosh x))^(2/3) has one record
+per direction on [1, 2], each sampled at 40 digits with the DCT at 40:
+
+- PHI: Phi(e) = zeta(1+e) / (2^(1/3) e) on e = x - 1 in [0, 1], 24
+  samples, c_0..c_15 kept (c_16 is about 1e-19), frozen as
+  osctun.series.PHI.  Phi(0) = 1.
+- PSI: Psi(zeta) = (x - 1) / zeta on [0, zeta(2)], with the end zeta(2)
+  rounded to a double, 28 samples, c_0..c_19 kept (c_20 is about 5e-20),
+  frozen as osctun.series.PSI.  Psi(0) = 2^(-1/3).  Each sample's x - 1 is
+  an mpmath root of zeta(1 + e) = zeta.
+
 The script checks the real-order sum against the independent 50-digit
 perfbench/references.PnReference, then prints each record's coefficient
 tuple as osctun.series holds it, and the dropped coefficients on stderr;
 --check compares them with the records instead and exits 1 on any
 difference.  It needs mpmath only and
-takes about two minutes, most of it in P's sample nearest s = 0 (n = 2e5).
+takes about two minutes, most of it in P's sample nearest s = 0 (n = 2e5);
+the two map records take a tenth of a second.
 """
 
 import argparse
@@ -51,6 +65,7 @@ import mpmath
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 P_DPS = 50
 F_DPS = 30
+MAP_DPS = 40
 REFERENCE_LEVELS = (0, 1, 5, 37, 200)
 
 
@@ -91,35 +106,64 @@ def g_of_s(s):
         return p_of_level((s ** (-mpmath.mpf(3) / 2) - 1) / 2) / mpmath.sqrt(s)
 
 
+def zeta_of_x(x):
+    """zeta(x) at the working precision."""
+    # x sqrt(x^2 - 1) - arccosh x cancels like (x - 1)^(3/2) near the
+    # turning point, where F's tanh-sinh nodes crowd; 70 more digits keep
+    # zeta at full precision there.
+    with mpmath.extradps(70):
+        r = mpmath.sqrt(x * x - 1)
+        z = (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
+            mpmath.mpf(2) / 3)
+    return +z
+
+
 def big_f_of_s(s):
     """F(s) at 30 digits by quadrature in x, as in the tests' mp_big_f_n."""
     with mpmath.workdps(F_DPS):
         nu43 = 1 / mpmath.mpf(s)
-
-        def zeta(x):
-            # x sqrt(x^2 - 1) - arccosh x cancels like (x - 1)^(3/2) near
-            # the turning point, where the tanh-sinh nodes crowd; 70 more
-            # digits keep zeta at full precision there.
-            with mpmath.extradps(70):
-                r = mpmath.sqrt(x * x - 1)
-                z = (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
-                    mpmath.mpf(2) / 3)
-            return +z
 
         def integrand(x):
             if x == 1:
                 # sqrt(f(1)) = 2^(-1/3), the limit where zeta/(x^2 - 1)
                 # is 0/0
                 return mpmath.cbrt(0.5) * mpmath.airyai(0) ** 2
-            z = zeta(x)
+            z = zeta_of_x(x)
             return mpmath.sqrt(z / (x * x - 1)) * mpmath.airyai(nu43 * z) ** 2
 
         # Panel edges where t = 0.5 .. 80 follow the decay of Ai(t)^2.
         edges = [mpmath.mpf(1)]
         for t in (0.5, 2, 5, 10, 20, 40, 80):
             guess = 1 + t / nu43 / mpmath.mpf(2) ** (mpmath.mpf(1) / 3)
-            edges.append(mpmath.findroot(lambda x: nu43 * zeta(x) - t, guess))
+            edges.append(mpmath.findroot(lambda x: nu43 * zeta_of_x(x) - t,
+                                        guess))
         return nu43 * mpmath.quad(integrand, edges)
+
+
+def phi_of_e(e):
+    """Phi(e) = zeta(1+e) / (2^(1/3) e) at MAP_DPS digits."""
+    with mpmath.workdps(MAP_DPS):
+        e = mpmath.mpf(e)
+        # x = 1 + e exactly, however small e is
+        with mpmath.extradps(70):
+            zeta = zeta_of_x(1 + e)
+        return zeta / (mpmath.cbrt(2) * e)
+
+
+def psi_of_zeta(zeta):
+    """Psi(zeta) = (x - 1) / zeta with zeta(x) = zeta, at MAP_DPS digits."""
+    with mpmath.workdps(MAP_DPS):
+        zeta = mpmath.mpf(zeta)
+        with mpmath.extradps(10):
+            e = mpmath.findroot(lambda e: zeta_of_x(1 + e) - zeta,
+                                zeta / mpmath.cbrt(2))
+        return e / zeta
+
+
+def map_end():
+    """zeta(2) rounded to a double, the end of PSI's interval."""
+    with mpmath.workdps(MAP_DPS):
+        return mpmath.mpf(float(zeta_of_x(mpmath.mpf(2))))
 
 
 def interval_end(precision):
@@ -134,6 +178,8 @@ Series = namedtuple("Series", "name sample samples degree dps s_hi")
 SERIES = (
     Series("P", g_of_s, 40, 20, P_DPS, interval_end(mpmath.workprec(53))),
     Series("F", big_f_of_s, 24, 17, 40, interval_end(mpmath.workdps(40))),
+    Series("PHI", phi_of_e, 24, 15, MAP_DPS, mpmath.mpf(1)),
+    Series("PSI", psi_of_zeta, 28, 19, MAP_DPS, map_end()),
 )
 
 
