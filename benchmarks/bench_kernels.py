@@ -9,7 +9,9 @@ Prints six tables, the first four each the best of --repeats runs:
    with its error envelope, the turning-point map zeta(x), its f ratio and
    its inversion) on --size points.  The forward map takes x in [1, 11],
    a tenth of it below the seam x = 2, and the inversion zeta in [0, 30],
-   a twentieth of it below zeta(2).
+   a twentieth of it below zeta(2).  Then two one-point calls: the
+   inversion at zeta = 11.7, which runs Newton, and
+   asymptotics.olver_approx(100, 1.3).
 2. Multi-level sweeps.  P_n by one pass of the series evaluator on the
    vector of levels (osctun.series.evaluate on the record series.P,
    which builds no result objects), next to one tunneling_exact call per
@@ -59,7 +61,8 @@ import numpy as np
 # Run from anywhere, the script times the osctun of its own checkout.
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
-from osctun import _kernels, analysis, cli, quadrature, series  # noqa: E402
+from osctun import (_kernels, analysis, asymptotics, cli,  # noqa: E402
+                    quadrature, series)
 
 # One tunneling_exact call costs about the same at any level, so the loop
 # of one call per level is timed on sweeps of at most this many levels.
@@ -95,6 +98,8 @@ def kernel_table(size, repeats):
         ("zeta forward", _kernels.zeta_from_e, (e,)),
         ("f forward", _kernels.f_from_e, (e,)),
         ("zeta inverse", _kernels.invert_zeta_values, (zeta,)),
+        ("inverse at 11.7", _kernels.invert_zeta_values, (np.array([11.7]),)),
+        ("olver 100, 1.3", asymptotics.olver_approx, (100, 1.3)),
     ]
     print("kernels: size = %d, best of %d runs" % (size, repeats))
     print("%-16s %12s" % ("kernel", "time [ms]"))

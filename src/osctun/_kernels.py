@@ -12,10 +12,11 @@ Kernels:
                               whose one loop sums F, G and both derivatives,
                               20-term asymptotic expansion above
 - invert_zeta_values(zeta):   x - 1 solving zeta(x) = zeta, series.PSI up
-                              to zeta(2), safeguarded Newton above
-- zeta_from_e(e), f_from_e(e): forward turning-point map and its f ratio,
+                              to zeta(2), Newton on zeta^(3/2) above
+- zeta_f_from_e(e):           forward turning-point map and its f ratio,
                               series.PHI below e = x - 1 = 1, direct form
-                              from there; x^2 - 1 overflows from x ~ 1.34e154
+                              from there; x^2 - 1 overflows from x ~ 1.34e154;
+                              zeta_from_e(e) and f_from_e(e) give one each
 """
 
 import math
@@ -78,7 +79,6 @@ del _k
 # double nearest zeta(2)
 ZETA_2 = series.PSI.s_max
 
-_NEWTON_RTOL = 1e-14       # on the 3/2-power residual; ~6.7e-15 in zeta
 _NEWTON_MAX = 100
 
 
@@ -269,43 +269,39 @@ def airy_values(t):
 
 
 def invert_zeta_values(zeta):
-    """x - 1 solving the forward map = zeta, per element.
+    """x - 1 solving the forward map = zeta, per element: zeta PSI(zeta) up
+    to ZETA_2, above it plain Newton on g(e) = zeta^(3/2), which stops once
+    e no longer falls (within 1.2 eps of 40-digit mpmath, and 7 calls of
+    g_of_e, over 1,930 zeta spread on (ZETA_2, zeta(1e153)]).
 
     Returns (e, ok); ok is False when any element hit the iteration cap
     (does not happen on [0, zeta(1e153)], where x^2 - 1 fits a double;
     kept for the contract).
     """
     zeta = np.asarray(zeta, dtype=np.float64)
-    w = zeta * np.sqrt(zeta)
-    # PSI sees no zeta above its interval, so a large zeta cannot overflow
-    # it; above ZETA_2 Newton starts from the large-zeta form.
-    near = zeta * series.chebyshev_of_s(series.PSI, np.minimum(zeta, ZETA_2))
-    active = zeta > ZETA_2
-    e = np.where(active, np.sqrt(4.0 * w / 3.0) - 1.0, near)
-    # [0, 2e + 1] brackets the root of g(e) = w: x = 1 + hi = 2 sqrt(4w/3),
-    # and x sqrt(x^2-1) >= x^2 - 1 with arccosh x <= ln 2x give g(hi) >=
-    # 4w - 3/4 - (3/4) ln 2x > w for every zeta > 1.2, ZETA_2 ~ 1.374 too.
-    lo = np.zeros_like(e)
-    hi = 2.0 * e + 1.0
+    # PSI sees no zeta above its interval, so a large zeta cannot overflow it
+    e = np.asarray(zeta * series.chebyshev_of_s(series.PSI,
+                                                np.minimum(zeta, ZETA_2)))
+    above = zeta > ZETA_2
+    w = zeta[above] * np.sqrt(zeta[above])
+    # Newton on g(e) = w above ZETA_2.  g' = (3/2) sqrt(e(2+e)) and g'' =
+    # (3/2)(1+e)/sqrt(e(2+e)) are positive for e > 0, so from any iterate
+    # the next lands at or above the root, and from there every step falls
+    # toward it.  The seed sqrt(4w/3) - 1 >= 0.465 lies below the root,
+    # since g < (3/4) x^2; after the first step the loop runs while e still
+    # falls and keeps the last iterate that did.
+    def step(e):
+        return (g_of_e(e) - w) / (1.5 * np.sqrt(e * (2.0 + e)))
+    ea = np.sqrt(4.0 * w / 3.0) - 1.0
+    ea = ea - step(ea)
+    active = np.ones(ea.shape, dtype=bool)
     for _ in range(_NEWTON_MAX):
+        enew = ea - step(ea)
+        active &= enew < ea
         if not active.any():
             break
-        g = g_of_e(e)
-        resid = g - w
-        under = g < w
-        lo = np.where(active & under, np.maximum(lo, e), lo)
-        hi = np.where(active & ~under, np.minimum(hi, e), hi)
-        conv = np.abs(resid) <= _NEWTON_RTOL * w
-        active = active & ~conv
-        dg = 1.5 * np.sqrt(e * (2.0 + e))
-        step = resid / np.where(dg > 0.0, dg, 1.0)
-        enew = e - step
-        outside = (enew <= lo) | (enew >= hi)
-        enew = np.where(outside, 0.5 * (lo + hi), enew)
-        # Fixed point: the update cannot move e, so the residual is
-        # roundoff-limited and the iterate is accepted.
-        active = active & (enew != e)
-        e = np.where(active, enew, e)
+        ea = np.where(active, enew, ea)
+    e[above] = ea
     return e, not active.any()
 
 
@@ -319,27 +315,28 @@ def g_of_e(e):
     return 0.75 * ((1.0 + e) * r - np.log1p(e + r))
 
 
-def _map_parts(e):
-    # e, the mask e < 1 where PHI serves, 2^(1/3) PHI(e) (on e <= 1 only,
-    # so a large e cannot overflow it) and the direct zeta, g^(2/3) as
-    # cbrt(g) squared: g ** (2.0 / 3.0) would err by about 3.7e-17 ln g
-    # relative (2.6e-14 at x = 1e153), as 2.0 / 3.0 does.
+def zeta_f_from_e(e):
+    """(zeta, f) at x = 1+e on an array, from one sum of series.PHI: below
+    e = 1, 2^(1/3) e PHI(e) and 2^(1/3) PHI(e)/(2+e), so f(1) = 2^(-2/3);
+    from there the direct zeta and f = zeta/(x^2-1)."""
+    # PHI on e <= 1 only, so a large e cannot overflow it.  The direct zeta
+    # is g^(2/3) as cbrt(g) squared: g ** (2.0 / 3.0) would err by about
+    # 3.7e-17 ln g relative (2.6e-14 at x = 1e153), as 2.0 / 3.0 does.
     e = np.asarray(e, dtype=np.float64)
+    near = e < 1.0
     phi = TWO_13 * series.chebyshev_of_s(series.PHI, np.minimum(e, 1.0))
     c = np.cbrt(g_of_e(e))
-    return e, e < 1.0, phi, c * c
+    direct = c * c
+    return (np.where(near, e * phi, direct),
+            np.where(near, phi / (2.0 + e),
+                     direct / np.where(near, 1.0, e * (2.0 + e))))
 
 
 def zeta_from_e(e):
-    """Forward map zeta(1+e) on an array; 2^(1/3) e PHI(e) below e = 1,
-    else direct."""
-    e, near, phi, direct = _map_parts(e)
-    return np.where(near, e * phi, direct)
+    """Forward map zeta(1+e) on an array; see zeta_f_from_e."""
+    return zeta_f_from_e(e)[0]
 
 
 def f_from_e(e):
-    """f = zeta/(x^2-1) at x = 1+e on an array; 2^(1/3) PHI(e)/(2+e) below
-    e = 1, so f(1) = 2^(-2/3), else direct."""
-    e, near, phi, direct = _map_parts(e)
-    return np.where(near, phi / (2.0 + e),
-                    direct / np.where(near, 1.0, e * (2.0 + e)))
+    """f = zeta/(x^2-1) at x = 1+e on an array; see zeta_f_from_e."""
+    return zeta_f_from_e(e)[1]

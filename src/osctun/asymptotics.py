@@ -61,7 +61,7 @@ class OlverApprox(namedtuple("OlverApprox",
 
 
 class IterationLimitError(RuntimeError):
-    """Safeguarded Newton failed to invert the map within its step budget."""
+    """Newton failed to invert the map within its step budget."""
 
 
 def zeta_of_x(x):
@@ -86,10 +86,9 @@ def zeta_of_x_values(x):
 def x_of_zeta(zeta):
     """Invert the map: the unique x >= 1 with zeta_of_x(x) = zeta.
 
-    x - 1 is zeta series.PSI(zeta) up to zeta(2), within 2 eps; above it,
-    safeguarded Newton whose residual meets 1e-12 * zeta.  zeta must lie in
-    [0, ZETA_MAX].  Raises IterationLimitError past 100 steps, which no
-    such zeta takes.
+    x - 1 is zeta series.PSI(zeta) up to zeta(2) and Newton on zeta^(3/2)
+    above, within 2 eps.  zeta must lie in [0, ZETA_MAX].  Raises
+    IterationLimitError past 100 steps, which no such zeta takes.
     """
     zeta = float(zeta)
     e, ok = _kernels.invert_zeta_values(
@@ -196,13 +195,14 @@ def olver_approx(n, x):
     n = int(specfun._check_levels([n], 1)[0])
     x = float(x)
     e = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")[0] - 1.0
+    zeta, f = _kernels.zeta_f_from_e(e)
     nu2 = 2.0 * n + 1.0
     log_cn = (0.5 * math.log(2.0 * math.pi) - 0.25 * nu2
               + (3.0 * nu2 - 1.0) / 12.0 * math.log(nu2))
-    log_pref = log_cn + 0.25 * math.log(_kernels.f_from_e(e)[0])
+    log_pref = log_cn + 0.25 * math.log(f[0])
     # Python floats: t overflows to inf quietly, and airy_ai refuses it.
     nu23 = float(series.nu23_of_levels(n))
-    t = nu23 * nu23 * float(_kernels.zeta_from_e(e)[0])
+    t = nu23 * nu23 * float(zeta[0])
     av = specfun.airy_ai(t)
     rhs = 0.0
     if av.value > 0.0:

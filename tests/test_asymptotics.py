@@ -166,6 +166,24 @@ class TestMapAgainstMpmath:
                                      mpmath.mpf(ei))
                 assert abs(ei - em) <= 2.0 * _EPS * em, zi
 
+    def test_inverse_above_the_seam(self):
+        # A stop at a 1e-14 residual in zeta^(3/2) errs by 24.6 eps at
+        # zeta = 11.7.  The root is solved in e / ei: findroot's absolute
+        # tolerance cannot resolve e itself near 1e153.
+        zmax = asymptotics.ZETA_MAX
+        zeta = np.unique(np.concatenate([
+            np.geomspace(np.nextafter(_kernels.ZETA_2, math.inf), zmax, 160),
+            np.linspace(_kernels.ZETA_2, 30.0, 41)[1:], [11.7, zmax]]))
+        assert zeta.size >= 200 and zeta[0] > _kernels.ZETA_2
+        e, ok = _kernels.invert_zeta_values(zeta)
+        assert ok
+        with mpmath.workdps(40):
+            for zi, ei in zip(zeta, e):
+                zm, e0 = mpmath.mpf(zi), mpmath.mpf(ei)
+                em = e0 * mpmath.findroot(
+                    lambda u: mp_zeta(1 + u * e0) / zm - 1, 1)
+                assert abs(ei - em) <= 2.0 * _EPS * em, zi
+
 
 class TestMapDomain:
     """x stops at X_MAX, where x^2 - 1 still fits a double, and zeta at its

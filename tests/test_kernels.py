@@ -8,19 +8,38 @@ import numpy as np
 import pytest
 
 import tail_sum
-from osctun import _kernels, series
+from osctun import _kernels, asymptotics, series
 
 
 def test_inversion_converges_just_above_series_seam():
     # Newton starts just above PSI's interval end from the large-zeta seed,
-    # about half the root there; the fixed-point stop must still accept
-    # the iterate.
+    # about half the root there; its stop, once e no longer falls, must
+    # still accept an iterate there.
     zeta = np.array([np.nextafter(_kernels.ZETA_2, 2.0),
                      _kernels.ZETA_2 * (1.0 + 1e-9), 1.5])
     e, ok = _kernels.invert_zeta_values(zeta)
     assert ok
     back = _kernels.zeta_from_e(e)
     assert np.all(np.abs(back - zeta) <= 1e-12 * np.maximum(1.0, zeta))
+
+
+def test_inversion_stays_far_from_the_step_cap(monkeypatch):
+    # Newton from below the root first lands at or above it, then falls
+    # toward it, so a few steps serve every zeta; a loop that crept one ulp
+    # a step would reach the cap and still give right values.
+    calls = []
+    g_of_e = _kernels.g_of_e
+
+    def counting(e):
+        calls.append(e.size)
+        return g_of_e(e)
+
+    monkeypatch.setattr(_kernels, "g_of_e", counting)
+    zeta = np.geomspace(np.nextafter(_kernels.ZETA_2, 2.0),
+                        asymptotics.ZETA_MAX, 2000)
+    e, ok = _kernels.invert_zeta_values(zeta)
+    assert ok and np.all(e > 0.0)
+    assert len(calls) <= 10
 
 
 def test_airy_series_bits_pinned():
