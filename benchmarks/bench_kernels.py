@@ -6,12 +6,12 @@ Usage:
 Prints six tables, the first four each the best of --repeats runs:
 
 1. Five elementwise kernels (oscillator eigenfunctions, the Airy function
-   with its error envelope, the turning-point map zeta(x), its f ratio and
-   its inversion) on --size points.  The forward map takes x in [1, 11],
-   a tenth of it below the seam x = 2, and the inversion zeta in [0, 30],
-   a twentieth of it below zeta(2).  Then two one-point calls: the
-   inversion at zeta = 11.7, which runs Newton, and
-   asymptotics.olver_approx(100, 1.3).
+   with its error envelope, the turning-point map zeta(x) with its f ratio
+   from one pass, f alone, and the map's inversion) on --size points.  The
+   forward map takes x in [1, 11], a tenth of it below the seam x = 2, and
+   the inversion zeta in [0, 30], a twentieth of it below zeta(2).  Then
+   two one-point calls: the inversion at zeta = 11.7, which runs Newton,
+   and asymptotics.olver_approx(100, 1.3).
 2. Multi-level sweeps.  P_n by one pass of the series evaluator on the
    vector of levels (osctun.series.evaluate on the record series.P,
    which builds no result objects), next to one tunneling_exact call per
@@ -95,7 +95,7 @@ def kernel_table(size, repeats):
     cases = [
         ("hermite n=120", _kernels.hermite_values, (120, x)),
         ("airy [-1,50]", _kernels.airy_values, (t,)),
-        ("zeta forward", _kernels.zeta_from_e, (e,)),
+        ("zeta, f forward", _kernels.zeta_f_from_e, (e,)),
         ("f forward", _kernels.f_from_e, (e,)),
         ("zeta inverse", _kernels.invert_zeta_values, (zeta,)),
         ("inverse at 11.7", _kernels.invert_zeta_values, (np.array([11.7]),)),

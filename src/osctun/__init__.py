@@ -30,9 +30,8 @@ from .quadrature import (DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig,
                          TunnelingResult, integrate_finite,
                          integrate_semi_infinite, tunneling_exact,
                          tunneling_exact_values)
-from .asymptotics import (C1, C2, F_INFINITY, IterationLimitError, OlverApprox,
-                          ZetaPoint, big_f_n, big_f_n_values, f_n, f_of_x,
-                          leading_term,
+from .asymptotics import (C1, C2, F_INFINITY, OlverApprox, big_f_n,
+                          big_f_n_values, f_n, f_of_x, leading_term,
                           olver_approx, second_order, x_of_zeta, zeta_of_x)
 from .analysis import (ComparisonRow, FigureData, LemmaReport, compare_sweep,
                        figure_dataset, lemma_check, ratio_sweep)
@@ -46,9 +45,9 @@ __all__ = [
     "TunnelingResult",
     "integrate_finite", "integrate_semi_infinite", "tunneling_exact",
     "tunneling_exact_values",
-    "C1", "C2", "F_INFINITY", "IterationLimitError", "OlverApprox",
-    "ZetaPoint", "big_f_n", "big_f_n_values", "f_n", "f_of_x", "leading_term", "olver_approx",
-    "second_order", "x_of_zeta", "zeta_of_x",
+    "C1", "C2", "F_INFINITY", "OlverApprox", "big_f_n", "big_f_n_values",
+    "f_n", "f_of_x", "leading_term", "olver_approx", "second_order",
+    "x_of_zeta", "zeta_of_x",
     "ComparisonRow", "FigureData", "LemmaReport", "compare_sweep",
     "figure_dataset", "lemma_check", "ratio_sweep",
     "__version__",

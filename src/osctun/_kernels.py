@@ -16,7 +16,7 @@ Kernels:
 - zeta_f_from_e(e):           forward turning-point map and its f ratio,
                               series.PHI below e = x - 1 = 1, direct form
                               from there; x^2 - 1 overflows from x ~ 1.34e154;
-                              zeta_from_e(e) and f_from_e(e) give one each
+                              f_from_e(e) gives f alone
 """
 
 import math
@@ -78,8 +78,6 @@ del _k
 # The map's one seam: PHI serves e = x - 1 < 1, PSI zeta <= ZETA_2, the
 # double nearest zeta(2)
 ZETA_2 = series.PSI.s_max
-
-_NEWTON_MAX = 100
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +271,6 @@ def invert_zeta_values(zeta):
     to ZETA_2, above it plain Newton on g(e) = zeta^(3/2), which stops once
     e no longer falls (within 1.2 eps of 40-digit mpmath, and 7 calls of
     g_of_e, over 1,930 zeta spread on (ZETA_2, zeta(1e153)]).
-
-    Returns (e, ok); ok is False when any element hit the iteration cap
-    (does not happen on [0, zeta(1e153)], where x^2 - 1 fits a double;
-    kept for the contract).
     """
     zeta = np.asarray(zeta, dtype=np.float64)
     # PSI sees no zeta above its interval, so a large zeta cannot overflow it
@@ -295,14 +289,16 @@ def invert_zeta_values(zeta):
     ea = np.sqrt(4.0 * w / 3.0) - 1.0
     ea = ea - step(ea)
     active = np.ones(ea.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX):
+    # The loop ends: an active element's e strictly falls on the doubles,
+    # and it falls only while the computed g(e) - w is positive.  Once that
+    # difference turns negative, just below the root, the step is upward
+    # and the element stops, so each element passes finitely many doubles.
+    while active.any():
         enew = ea - step(ea)
         active &= enew < ea
-        if not active.any():
-            break
         ea = np.where(active, enew, ea)
     e[above] = ea
-    return e, not active.any()
+    return e
 
 
 def g_of_e(e):
@@ -330,11 +326,6 @@ def zeta_f_from_e(e):
     return (np.where(near, e * phi, direct),
             np.where(near, phi / (2.0 + e),
                      direct / np.where(near, 1.0, e * (2.0 + e))))
-
-
-def zeta_from_e(e):
-    """Forward map zeta(1+e) on an array; see zeta_f_from_e."""
-    return zeta_f_from_e(e)[0]
 
 
 def f_from_e(e):

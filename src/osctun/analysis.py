@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels, series, specfun
 from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms,
-                          big_f_n_values, f_of_x, zeta_of_x_values)
+                          big_f_n_values, f_of_x, zeta_of_x)
 
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
@@ -64,9 +64,7 @@ def comparison_table(n_values):
     p_leading and p_second have the bits of leading_term and second_order;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     """
-    ns = [int(n) for n in specfun._check_levels(n_values)]
-    if ns and min(ns) < 1:
-        raise ValueError("comparison requires n >= 1, got %d" % min(ns))
+    ns = [int(n) for n in specfun._check_levels(n_values, 1)]
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
     p = series.evaluate(series.P, ns)[0]
@@ -124,9 +122,9 @@ def ratio_table(n_values):
 def ratio_sweep(n_min, n_max):
     """Pairs (n, F_infinity / F_n) for n_min <= n <= n_max: ratio_table's
     columns, zipped."""
-    specfun._check_levels([n_min, n_max])
-    if not (1 <= n_min <= n_max):
-        raise ValueError("need 1 <= n_min <= n_max")
+    specfun._check_levels([n_min, n_max], 1)
+    if n_min > n_max:
+        raise ValueError("need n_min <= n_max")
     ns, ratios = ratio_table(range(n_min, n_max + 1))[1]
     return list(zip(ns, ratios.tolist()))
 
@@ -152,7 +150,7 @@ def _figure_three():
     e = 1e-4 * ((x_max - 1.0) / 1e-4) ** ratio
     x = 1.0 + e
     return ("x", "zeta"), [np.concatenate([[1.0], x]),
-                           np.concatenate([[0.0], zeta_of_x_values(x)])]
+                           np.concatenate([[0.0], zeta_of_x(x)])]
 
 
 def figure_dataset(figure_id):

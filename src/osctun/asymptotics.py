@@ -9,7 +9,9 @@ eigenfunction uniformly for x >= 1:
 with nu = sqrt(2n+1) and an explicit relative error bound.  Feeding this into
 the tail integral gives the leading term C1 n^(-1/3) for the tunneling
 probability and the second-order correction -C2/n.  F_n is summed from
-its frozen Chebyshev series, the record osctun.series.F.
+its frozen Chebyshev series, the record osctun.series.F.  zeta_of_x,
+f_of_x = zeta/(x^2-1) and x_of_zeta each take a float or an array and
+return the same kind.
 """
 
 import math
@@ -21,10 +23,8 @@ from . import _kernels, series, specfun
 from .quadrature import TunnelingResult
 
 __all__ = [
-    "ZetaPoint", "OlverApprox", "IterationLimitError",
-    "C1", "C2", "F_INFINITY", "X_MAX", "ZETA_MAX",
-    "zeta_of_x", "zeta_of_x_values", "x_of_zeta",
-    "f_of_x", "f_of_x_values", "f_n", "big_f_n", "big_f_n_values",
+    "OlverApprox", "C1", "C2", "F_INFINITY", "X_MAX", "ZETA_MAX",
+    "zeta_of_x", "x_of_zeta", "f_of_x", "f_n", "big_f_n", "big_f_n_values",
     "leading_term", "second_order", "olver_approx",
 ]
 
@@ -39,15 +39,10 @@ F_INFINITY = _kernels.TWO_M23 * _AIRY_SQ_INTEGRAL
 
 # The map's domain: x^2 - 1 = e(2 + e) overflows a double from x ~ 1.34e154
 # on, and the inverse's seed 4 zeta^(3/2) from x ~ 7.7e153.  So x stops at
-# X_MAX and zeta at its image ZETA_MAX = zeta_of_x(X_MAX).zeta, which a test
+# X_MAX and zeta at its image ZETA_MAX = zeta_of_x(X_MAX), which a test
 # checks.
 X_MAX = 1e153
 ZETA_MAX = 8.254818122236567e+203
-
-
-class ZetaPoint(namedtuple("ZetaPoint", "x zeta regime")):
-    """A paired (x, zeta) value of the turning-point map with its regime tag."""
-    __slots__ = ()
 
 
 class OlverApprox(namedtuple("OlverApprox",
@@ -60,58 +55,37 @@ class OlverApprox(namedtuple("OlverApprox",
     __slots__ = ()
 
 
-class IterationLimitError(RuntimeError):
-    """Newton failed to invert the map within its step budget."""
-
-
 def zeta_of_x(x):
-    """Map x in [1, X_MAX] to zeta: regime "series-near-one" below x = 2,
-    from the Chebyshev record series.PHI within 2 eps, where the direct
-    formula cancels about log10(1/(2(x-1))) digits; "direct" from there.
+    """zeta at x in [1, X_MAX], a float or an array, returned in kind: from
+    the Chebyshev record series.PHI within 2 eps below x = 2, where the
+    direct formula cancels about log10(1/(2(x-1))) digits; direct from there.
     """
-    x = float(x)
-    e = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")[0] - 1.0
-    zeta = float(_kernels.zeta_from_e(e)[0])
-    regime = "series-near-one" if e[0] < 1.0 else "direct"
-    return ZetaPoint(x=x, zeta=zeta, regime=regime)
-
-
-def zeta_of_x_values(x):
-    """zeta on an array of x in [1, X_MAX]; figure plumbing."""
     arr, scalar = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")
-    out = _kernels.zeta_from_e(arr - 1.0)
-    return out.reshape(()) if scalar else out
+    out = _kernels.zeta_f_from_e(arr - 1.0)[0]
+    return float(out[0]) if scalar else out
 
 
 def x_of_zeta(zeta):
-    """Invert the map: the unique x >= 1 with zeta_of_x(x) = zeta.
+    """Invert the map: the unique x >= 1 with zeta_of_x(x) = zeta, for
+    zeta in [0, ZETA_MAX], a float or an array, returned in kind.
 
     x - 1 is zeta series.PSI(zeta) up to zeta(2) and Newton on zeta^(3/2)
-    above, within 2 eps.  zeta must lie in [0, ZETA_MAX].  Raises
-    IterationLimitError past 100 steps, which no such zeta takes.
+    above, within 2 eps.
     """
-    zeta = float(zeta)
-    e, ok = _kernels.invert_zeta_values(
-        specfun._check_real(zeta, "zeta", 0.0, ZETA_MAX, "ZETA_MAX")[0])
-    if not ok:
-        raise IterationLimitError("inversion stalled at zeta=%g" % zeta)
-    return 1.0 + float(e[0])
+    arr, scalar = specfun._check_real(zeta, "zeta", 0.0, ZETA_MAX, "ZETA_MAX")
+    out = 1.0 + _kernels.invert_zeta_values(arr)
+    return float(out[0]) if scalar else out
 
 
 def f_of_x(x):
-    """f(x) = zeta(x)/(x^2 - 1), continued to f(1) = 2^(-2/3).
+    """f(x) = zeta(x)/(x^2 - 1), continued to f(1) = 2^(-2/3), at x in
+    [1, X_MAX], a float or an array, returned in kind.
 
     Strictly decreasing on [1, infinity) with limit 0.
     """
-    arr = specfun._check_real(float(x), "x", 1.0, X_MAX, "X_MAX")[0]
-    return float(_kernels.f_from_e(arr - 1.0)[0])
-
-
-def f_of_x_values(x):
-    """f on an array of x in [1, X_MAX]; sweep plumbing."""
     arr, scalar = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")
     out = _kernels.f_from_e(arr - 1.0)
-    return out.reshape(()) if scalar else out
+    return float(out[0]) if scalar else out
 
 
 def f_n(n, t):
@@ -120,10 +94,7 @@ def f_n(n, t):
     t = float(t)
     zeta = specfun._check_real(1.0 / (nu23 * nu23) * t, "zeta = nu^(-4/3) t",
                                0.0, ZETA_MAX, "ZETA_MAX")[0]
-    e, ok = _kernels.invert_zeta_values(zeta)
-    if not ok:
-        raise IterationLimitError("inversion stalled at t=%g" % t)
-    return float(_kernels.f_from_e(e)[0])
+    return float(_kernels.f_from_e(_kernels.invert_zeta_values(zeta))[0])
 
 
 def big_f_n(n):

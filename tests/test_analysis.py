@@ -42,8 +42,7 @@ class TestCompareSweep:
             raise AssertionError("no level may be computed")
 
         monkeypatch.setattr(series, "evaluate", must_not_run)
-        with pytest.raises(ValueError, match="comparison requires n >= 1, "
-                                             "got 0"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             analysis.compare_sweep(list(range(1, 50)) + [0])
 
     @pytest.mark.parametrize("bad", [2 ** 768, 10 ** 240],
@@ -144,7 +143,7 @@ class TestLemmaCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert 0.0 < f_of_x(1e39) < 1e-26
-            assert zeta_of_x(1e39).regime == "direct"
+            assert zeta_of_x(1e39) > 0.0
             assert analysis.lemma_check(1e40, 10000).passed
 
     @pytest.mark.parametrize("x_max", [1.0 + 5e-10, 1.0000000001,

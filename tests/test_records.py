@@ -15,7 +15,6 @@ RECORDS = [
                               "ai_zero", "ai_prime_zero")),
     (quadrature.QuadratureConfig, ("rel_tol", "abs_tol", "max_subdivisions")),
     (quadrature.TunnelingResult, ("n", "value", "method", "err_estimate")),
-    (asymptotics.ZetaPoint, ("x", "zeta", "regime")),
     (asymptotics.OlverApprox, ("n", "x", "rhs_value", "eps_bound",
                                "log_prefactor")),
     (analysis.ComparisonRow, ("n", "p_exact", "p_leading", "p_second",

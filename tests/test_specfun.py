@@ -208,11 +208,9 @@ _REAL_ARGUMENTS = {
     "airy_ai": (specfun.airy_ai, "t", -2.5, True),
     "airy_ai_prime": (specfun.airy_ai_prime, "t", -2.5, True),
     "airy_ai_values": (specfun.airy_ai_values, "t", -2.5, False),
-    "zeta_of_x": (asymptotics.zeta_of_x, "x", 0.5, True),
-    "zeta_of_x_values": (asymptotics.zeta_of_x_values, "x", 0.5, False),
-    "f_of_x": (asymptotics.f_of_x, "x", 0.5, True),
-    "f_of_x_values": (asymptotics.f_of_x_values, "x", 0.5, False),
-    "x_of_zeta": (asymptotics.x_of_zeta, "zeta", -1e-9, True),
+    "zeta_of_x": (asymptotics.zeta_of_x, "x", 0.5, False),
+    "f_of_x": (asymptotics.f_of_x, "x", 0.5, False),
+    "x_of_zeta": (asymptotics.x_of_zeta, "zeta", -1e-9, False),
     "f_n": (lambda t: asymptotics.f_n(5, t), r"zeta = nu\^\(-4/3\) t",
             -1.0, True),
     "olver_approx": (lambda x: asymptotics.olver_approx(5, x), "x", 0.5,
