@@ -17,35 +17,32 @@ function of s = (2n+1)^(-2/3).  So are the Airy-weighted integrals F_n.
 osctun.series is the one home of both: a record per series, with its
 frozen Chebyshev coefficients (tools/gen_series.py) and its err_estimate
 claim, one evaluator, and the one cube root of 2n+1.  Each quantity has
-one route, O(1) at any level: tunneling_exact(n) and big_f_n(n) are the
-one-level cases of tunneling_exact_values and big_f_n_values, whose sweeps
-run in one vector pass and return the bits of one call per level.
+one route and one public entry, O(1) at any level: tunneling_exact(n)
+for P_n, and big_f_n, which takes one level or a sequence and sums a
+sequence in one vector pass with the bits of one call per level.
 Adaptive Gauss-Kronrod quadrature checks both in the tests; no production
 route runs it.
 """
 
-from .specfun import (GAMMA, AiryValue, GammaConstants, OscillatorState,
-                      airy_ai, airy_ai_prime, hermite_psi, hermite_psi_squared)
-from .quadrature import (DEFAULT_CONFIG, NonConvergenceError, QuadratureConfig,
+from .specfun import (GAMMA, AiryValue, GammaConstants, airy_ai,
+                      airy_ai_prime, hermite_psi, hermite_psi_squared)
+from .quadrature import (NonConvergenceError, QuadratureConfig,
                          TunnelingResult, integrate_finite,
-                         integrate_semi_infinite, tunneling_exact,
-                         tunneling_exact_values)
-from .asymptotics import (C1, C2, F_INFINITY, OlverApprox, big_f_n,
-                          big_f_n_values, f_n, f_of_x, leading_term,
-                          olver_approx, second_order, x_of_zeta, zeta_of_x)
+                         integrate_semi_infinite, tunneling_exact)
+from .asymptotics import (C1, C2, F_INFINITY, OlverApprox, big_f_n, f_n,
+                          f_of_x, leading_term, olver_approx, second_order,
+                          x_of_zeta, zeta_of_x)
 from .analysis import (ComparisonRow, FigureData, LemmaReport, compare_sweep,
                        figure_dataset, lemma_check, ratio_sweep)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA", "AiryValue", "GammaConstants", "OscillatorState",
+    "GAMMA", "AiryValue", "GammaConstants",
     "airy_ai", "airy_ai_prime", "hermite_psi", "hermite_psi_squared",
-    "DEFAULT_CONFIG", "NonConvergenceError", "QuadratureConfig",
-    "TunnelingResult",
+    "NonConvergenceError", "QuadratureConfig", "TunnelingResult",
     "integrate_finite", "integrate_semi_infinite", "tunneling_exact",
-    "tunneling_exact_values",
-    "C1", "C2", "F_INFINITY", "OlverApprox", "big_f_n", "big_f_n_values",
+    "C1", "C2", "F_INFINITY", "OlverApprox", "big_f_n",
     "f_n", "f_of_x", "leading_term", "olver_approx", "second_order",
     "x_of_zeta", "zeta_of_x",
     "ComparisonRow", "FigureData", "LemmaReport", "compare_sweep",

@@ -14,8 +14,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import _kernels, series, specfun
-from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms,
-                          big_f_n_values, f_of_x, zeta_of_x)
+from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms, big_f_n,
+                          f_of_x, zeta_of_x)
 
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
@@ -114,9 +114,9 @@ def lemma_check(x_max, grid_size):
 def ratio_table(n_values):
     """The ratios F_infinity / F_n as ("n", "ratio") and two columns: the
     levels as a list, in input order, and the ratios as a float64 array
-    from one big_f_n_values call."""
+    from one big_f_n call."""
     ns = list(n_values)
-    return ("n", "ratio"), [ns, F_INFINITY / big_f_n_values(ns)]
+    return ("n", "ratio"), [ns, F_INFINITY / big_f_n(ns)]
 
 
 def ratio_sweep(n_min, n_max):

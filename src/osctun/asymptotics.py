@@ -9,9 +9,9 @@ eigenfunction uniformly for x >= 1:
 with nu = sqrt(2n+1) and an explicit relative error bound.  Feeding this into
 the tail integral gives the leading term C1 n^(-1/3) for the tunneling
 probability and the second-order correction -C2/n.  F_n is summed from
-its frozen Chebyshev series, the record osctun.series.F.  zeta_of_x,
-f_of_x = zeta/(x^2-1) and x_of_zeta each take a float or an array and
-return the same kind.
+its frozen Chebyshev series, the record osctun.series.F, by big_f_n at
+one level or a sequence.  zeta_of_x, f_of_x = zeta/(x^2-1) and x_of_zeta
+each take a float or an array and return the same kind.
 """
 
 import math
@@ -24,7 +24,7 @@ from .quadrature import TunnelingResult
 
 __all__ = [
     "OlverApprox", "C1", "C2", "F_INFINITY", "X_MAX", "ZETA_MAX",
-    "zeta_of_x", "x_of_zeta", "f_of_x", "f_n", "big_f_n", "big_f_n_values",
+    "zeta_of_x", "x_of_zeta", "f_of_x", "f_n", "big_f_n",
     "leading_term", "second_order", "olver_approx",
 ]
 
@@ -98,26 +98,25 @@ def f_n(n, t):
 
 
 def big_f_n(n):
-    """The Airy-weighted integral F_n = int_0^inf f_n(t) Ai(t)^2 dt.
+    """The Airy-weighted integral F_n = int_0^inf f_n(t) Ai(t)^2 dt, at one
+    level or a sequence of them.
+
+    n is an int or numpy integer, which gives a float, or a list, range,
+    tuple or 1-d integer array, which gives a float64 array in input
+    order.  Every level is checked before any is computed: a bool, a
+    non-integer or a level below 1 raises as the first such one would
+    alone.
 
     Lies in (0, F_INFINITY] and approaches F_INFINITY from below as n grows.
-
     F_n depends on n only through s = (2n+1)^(-2/3), and is summed from the
-    18-term Chebyshev series series.F, with the bits of big_f_n_values.
-    Against 30-digit mpmath the error stays within 4 eps F_n from n = 1 to
-    10^6, and n = 10^300 gives F_INFINITY within 2 ulp.
+    18-term Chebyshev series series.F, about 18 multiply-adds a level, with
+    the bits of one call per level.  Against 30-digit mpmath the error
+    stays within 4 eps F_n from n = 1 to 10^6, and n = 10^300 gives
+    F_INFINITY within 2 ulp.
     """
+    if isinstance(n, (list, tuple, range, np.ndarray)):
+        return series.evaluate(series.F, specfun._check_levels(n, 1))[0]
     return float(series.evaluate(series.F, specfun._check_levels([n], 1)[0])[0])
-
-
-def big_f_n_values(ns):
-    """F_n for every n in ns, in input order, as a float64 array.
-
-    Every n is checked before any is computed; then the series is summed
-    once on the vector of s = (2n+1)^(-2/3), about 18 multiply-adds a level.
-    """
-    return series.evaluate(
-        series.F, specfun._check_levels(ns, 1))[0]
 
 
 def _asymptotic_terms(ns):

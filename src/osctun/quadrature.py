@@ -7,7 +7,7 @@ are bisected.  A semi-infinite integral is mapped onto (0, 1) by the
 substitution x = a + u/(1-u) and integrated there.
 
 TunnelingResult holds a P_n with its method tag and error estimate, and
-tunneling_exact(_values) wrap the series osctun.series.P in it.  No
+tunneling_exact wraps one level of the series osctun.series.P in it.  No
 production route runs the engine; the tests check both series with it.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "QuadratureConfig", "TunnelingResult",
     "NonConvergenceError",
     "integrate_finite", "integrate_semi_infinite", "tunneling_exact",
-    "tunneling_exact_values",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -78,9 +77,6 @@ class QuadratureConfig(namedtuple(
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be at least 10")
         return self
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 class TunnelingResult(namedtuple("TunnelingResult",
@@ -149,7 +145,7 @@ def integrate_finite(f, a, b, config=None, breakpoints=None):
         If the panel budget is exhausted before the tolerance is met; the
         exception carries the best value and its error estimate.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
+    cfg = config if config is not None else QuadratureConfig()
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -225,7 +221,6 @@ def integrate_semi_infinite(f, a, config=None, breakpoints=None):
     g bounded near u = 1.  The error estimate is integrate_finite's: it
     does not count the integrand's own rounding.
     """
-    cfg = config if config is not None else DEFAULT_CONFIG
     a = float(a)
     if not math.isfinite(a):
         raise ValueError("lower endpoint must be finite")
@@ -240,7 +235,7 @@ def integrate_semi_infinite(f, a, config=None, breakpoints=None):
             d = p - a
             if d > 0.0:
                 bps.append(d / (1.0 + d))
-    return integrate_finite(g, 0.0, 1.0, cfg, breakpoints=bps)
+    return integrate_finite(g, 0.0, 1.0, config, breakpoints=bps)
 
 
 def tunneling_exact(n, config=None):
@@ -258,17 +253,14 @@ def tunneling_exact(n, config=None):
     Returns
     -------
     TunnelingResult
-        method "exact"; value in (0, 1); the bits of
-        tunneling_exact_values([n])[0], whose series costs O(1) at any n.
+        method "exact"; value in (0, 1) and err_estimate from
+        series.evaluate(series.P, [n]), whose series costs O(1) at any n
+        and gives a level the bits it has in any sweep.  The level goes
+        in as a one-element list.  Passed as itself it takes about a
+        quarter of the time, but then perfbench's traced pn_points run
+        finds its layers cover under 0.9 of its wall time (ROADMAP 1a).
     """
-    return tunneling_exact_values([n])[0]
-
-
-def tunneling_exact_values(ns):
-    """P_n for every n in ns, in input order, as TunnelingResults from
-    series.P; every n is checked before any is computed."""
-    levels = specfun._check_levels(ns)
+    levels = specfun._check_levels([n])
     values, errs = series.evaluate(series.P, levels)
-    return [TunnelingResult(n=int(n), value=v, method="exact", err_estimate=e)
-            for n, v, e in zip(levels, values.tolist(), errs.tolist())]
-
+    return TunnelingResult(n=int(levels[0]), value=float(values[0]),
+                           method="exact", err_estimate=float(errs[0]))

@@ -76,7 +76,7 @@ class TestCompareSweep:
         sweep_rows = [tuple(r) for r in analysis.compare_sweep(ns)]
         assert len(table_rows) == len(sweep_rows) == len(ns)
         for n, row, swept in zip(ns, table_rows, sweep_rows):
-            p = quadrature.tunneling_exact_values([n])[0].value
+            p = quadrature.tunneling_exact(n).value
             lead = leading_term(n).value
             sec = second_order(n).value
             err_sec = abs(p - sec)

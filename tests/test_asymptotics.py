@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import osctun
 from osctun import _kernels, asymptotics, series, specfun
-from osctun.asymptotics import (C1, C2, F_INFINITY, big_f_n, big_f_n_values,
+from osctun.asymptotics import (C1, C2, F_INFINITY, big_f_n,
                                 f_n, f_of_x, leading_term, olver_approx,
                                 second_order, x_of_zeta, zeta_of_x)
 from osctun.quadrature import (_GAUSS_IDX, _WG, _WK, _XK,
@@ -407,7 +407,7 @@ class TestAiryWeightedIntegral:
         ns = np.concatenate([np.arange(1, 5001),
                              np.geomspace(5000, 10 ** 12, 60).round()[1:]])
         ns = [int(n) for n in ns]
-        got = big_f_n_values(ns)
+        got = big_f_n(ns)
         want = rule_f_n(ns)
         assert np.all(np.abs(got - want) <= 3.0 * _EPS * want)
 
@@ -443,32 +443,37 @@ class TestAiryWeightedIntegral:
             big_f_n(0)
 
 
+def _must_not_run(*args):
+    raise AssertionError("no level may be computed")
+
+
 class TestFnSweep:
-    """big_f_n_values has the bits of one-level big_f_n calls, in input
+    """big_f_n takes one level, giving a float, or a sequence of levels,
+    giving a float64 array with the bits of one-level calls in input
     order."""
 
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 495])
     def test_equals_one_level_values(self, count):
-        ns = list(range(6, 6 + count))
-        got = big_f_n_values(ns)
-        assert got.shape == (count,)
-        assert [float(v) for v in got] == [big_f_n(n) for n in ns]
+        ns = range(6, 6 + count)
+        want = [big_f_n(n) for n in ns]
+        assert all(type(v) is float for v in want)
+        assert type(big_f_n(np.int64(6))) is float
+        for got in map(big_f_n, (list(ns), tuple(ns), ns, np.array(ns))):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == (count,)
+            assert got.tolist() == want
 
     def test_large_levels_any_order(self):
         ns = [10 ** 6, 1, 10 ** 5, 999999, 2000, 10 ** 4, 1, 37]
         want = [big_f_n(n) for n in ns]
-        assert [float(v) for v in big_f_n_values(ns)] == want
-        assert [float(v) for v in big_f_n_values(ns[::-1])] == want[::-1]
+        assert big_f_n(ns).tolist() == want
+        assert big_f_n(ns[::-1]).tolist() == want[::-1]
 
     def test_checks_every_level_first(self, monkeypatch):
-        assert big_f_n_values([]).shape == (0,)
-
-        def must_not_run(*args):
-            raise AssertionError("no level may be computed")
-
-        monkeypatch.setattr(series, "chebyshev_of_s", must_not_run)
+        assert big_f_n([]).shape == (0,)
+        monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
         with pytest.raises(ValueError):
-            big_f_n_values(list(range(1, 40)) + [0])
+            big_f_n(list(range(1, 40)) + [0])
         with pytest.raises(ValueError):
             big_f_n(0)
 
@@ -481,36 +486,45 @@ class TestFnSweep:
         ([5, 0, -3], ValueError, "n must be >= 1 (the formula diverges"),
         (np.array([5, 0]), ValueError, "n must be >= 1 (the formula diverges"),
         ([10 ** 400, 0], ValueError, "n must be >= 1 (the formula diverges"),
+        (True, TypeError, "n must be an integer, got True"),
+        (6.0, TypeError, "n must be an integer, got 6.0"),
+        (np.bool_(True), TypeError, "n must be an integer, got "),
+        (0, ValueError, "n must be >= 1 (the formula diverges"),
+        (np.int64(-3), ValueError, "n must be nonnegative, got -3"),
+        ((5, 6.5), TypeError, "n must be an integer, got 6.5"),
+        (range(-1, 5), ValueError, "n must be nonnegative, got -1"),
+        (np.array([5.0, 6.0]), TypeError, "n must be an integer, got "),
+        (np.array([[5, 6]]), TypeError, "n must be an integer, got "),
     ])
-    def test_names_the_first_bad_level(self, levels, error, text):
+    def test_names_the_first_bad_level(self, levels, error, text,
+                                       monkeypatch):
+        monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
         with pytest.raises(error) as info:
-            big_f_n_values(levels)
+            big_f_n(levels)
         assert str(info.value).startswith(text)
 
     def test_integer_types_agree(self):
         ns = [6, 10 ** 6, 2 ** 63 + 1, 10 ** 300]
-        want = [float(v) for v in big_f_n_values(ns)]
+        want = big_f_n(ns).tolist()
         assert [big_f_n(n) for n in ns] == want
         mixed = [np.int64(6), np.uint64(10 ** 6), np.uint64(2 ** 63 + 1),
                  10 ** 300]
-        assert [float(v) for v in big_f_n_values(mixed)] == want
+        assert big_f_n(mixed).tolist() == want
+        assert [big_f_n(n) for n in mixed] == want
         arr = np.arange(6, 501)
-        assert list(big_f_n_values(arr)) == list(big_f_n_values(range(6, 501)))
+        assert list(big_f_n(arr)) == list(big_f_n(range(6, 501)))
         with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
-            big_f_n_values([6, 10 ** 400])
+            big_f_n([6, 10 ** 400])
 
     @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1023 - 2 ** 969, 10 ** 400],
                              ids=["2^1023", "2^1023-2^969", "10^400"])
     def test_rejects_levels_past_a_double(self, n, monkeypatch):
         # 2n+1 rounds past the largest double from 2^1023 - 2^969 on; such
         # a level is refused before any F_n is computed.
-        def must_not_run(*args):
-            raise AssertionError("no level may be computed")
-
-        monkeypatch.setattr(series, "chebyshev_of_s", must_not_run)
-        for route in (big_f_n, lambda n: big_f_n_values([6, n, 7])):
+        monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
+        for arg in (n, [6, n, 7]):
             with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
-                route(n)
+                big_f_n(arg)
 
     def test_largest_level_is_finite(self):
         with warnings.catch_warnings():
@@ -520,10 +534,10 @@ class TestFnSweep:
 
     def test_memory_peak(self):
         ns = range(6, 501)
-        big_f_n_values(ns)
+        big_f_n(ns)
         tracemalloc.start()
         try:
-            big_f_n_values(ns)
+            big_f_n(ns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -568,9 +582,9 @@ class TestAsymptoticTerms:
         # term, C1/6 n^(-4/3), has the same sign as C2/n.
         for ns in (range(1, 3001),
                    [5000, 10 ** 4, 3 * 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6]):
-            for p in osctun.tunneling_exact_values(ns):
-                r = term(p.n)
-                assert abs(r.value - p.value) <= r.err_estimate, p.n
+            for n, p in zip(ns, series.evaluate(series.P, ns)[0].tolist()):
+                r = term(n)
+                assert abs(r.value - p) <= r.err_estimate, n
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):

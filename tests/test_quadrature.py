@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tail_sum
-from osctun import series, specfun
+from osctun import analysis, series, specfun
 from osctun.quadrature import (NonConvergenceError, QuadratureConfig,
                                integrate_finite, integrate_semi_infinite,
-                               tunneling_exact, tunneling_exact_values)
+                               tunneling_exact)
 
 EPS = float(np.finfo(float).eps)
 
@@ -217,53 +217,63 @@ def _must_not_run(*args):
     raise AssertionError("this route must not run")
 
 
+def _sweep(ns):
+    """(P_n, err_estimate) pairs from one series.evaluate pass over ns, the
+    route the exact and compare subcommands run."""
+    values, errs = series.evaluate(series.P, ns)
+    return list(zip(values.tolist(), errs.tolist()))
+
+
 class TestTunnelingSweep:
-    """tunneling_exact_values gives a level the bits of its own one-level
-    call, in any order, with repeats, next to any other levels."""
+    """series.evaluate(series.P, ns) gives a level the bits of its own
+    tunneling_exact call, in any order, with repeats, next to any other
+    levels."""
 
     @pytest.fixture(scope="class")
     def singles(self):
-        return [tunneling_exact_values([n])[0] for n in range(1001)]
+        return [(r.value, r.err_estimate)
+                for r in map(tunneling_exact, range(1001))]
 
     def test_dense_sweep_in_order(self, singles):
-        assert tunneling_exact_values(range(1001)) == singles
+        assert _sweep(range(1001)) == singles
 
     def test_shuffled_with_duplicates(self, singles):
         ns = list(range(1001)) + [0, 0, 1, 7, 612, 1000, 1000]
         random.Random(11).shuffle(ns)
-        assert tunneling_exact_values(ns) == [singles[n] for n in ns]
+        assert _sweep(ns) == [singles[n] for n in ns]
 
     def test_duplicates_of_one_level(self, singles):
         for n in (0, 1, 612):
-            assert tunneling_exact_values([n] * 5) == [singles[n]] * 5
+            assert _sweep([n] * 5) == [singles[n]] * 5
 
     def test_large_levels_any_order(self):
         ns = [10 ** 12, 0, 10 ** 6, 1, 2 ** 62, np.int64(37), 10 ** 300]
-        want = [tunneling_exact_values([n])[0] for n in ns]
-        assert tunneling_exact_values(ns) == want
-        assert tunneling_exact_values(ns[::-1]) == want[::-1]
+        want = [(r.value, r.err_estimate) for r in map(tunneling_exact, ns)]
+        assert _sweep(ns) == want
+        assert _sweep(ns[::-1]) == want[::-1]
 
     def test_result_fields(self):
-        (r,) = tunneling_exact_values([np.int64(612)])
+        r = tunneling_exact(np.int64(612))
         assert type(r.n) is int and r.n == 612
         assert r.method == "exact"
+        assert type(r.value) is float and type(r.err_estimate) is float
         assert r.err_estimate == series.P.err_eps * EPS * r.value
 
     def test_checks_every_level_first(self, monkeypatch):
-        assert tunneling_exact_values([]) == []
+        assert _sweep([]) == []
         monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
         with pytest.raises(ValueError):
-            tunneling_exact_values(list(range(100)) + [-1])
+            tunneling_exact(-1)
         with pytest.raises(TypeError):
-            tunneling_exact_values([3, True])
+            tunneling_exact(True)
         with pytest.raises(TypeError):
-            tunneling_exact_values([3, 4.0])
+            tunneling_exact(4.0)
 
     def test_memory_peak(self):
-        tunneling_exact_values(range(5, 613))
+        series.evaluate(series.P, range(5, 613))
         tracemalloc.start()
         try:
-            tunneling_exact_values(range(5, 613))
+            series.evaluate(series.P, range(5, 613))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -302,21 +312,21 @@ class TestTunnelingSeries:
 
     def test_bound_against_50_digit_sums(self, mp_p):
         ns = list(range(1, 301)) + list(range(37, 2001, 37))
-        for r in tunneling_exact_values(ns):
-            assert abs(r.value - mp_p(r.n)) <= r.err_estimate, r.n
+        for n, (value, err) in zip(ns, _sweep(ns)):
+            assert abs(value - mp_p(n)) <= err, n
 
     def test_bound_against_stored_sums(self):
-        for r in tunneling_exact_values(list(STORED_P)):
-            want = mpmath.mpf(STORED_P[r.n])
-            assert abs(r.value - want) <= r.err_estimate, r.n
+        for (n, text), (value, err) in zip(STORED_P.items(),
+                                           _sweep(list(STORED_P))):
+            assert abs(value - mpmath.mpf(text)) <= err, n
 
     @pytest.mark.parametrize("n", [10 ** 9, 10 ** 12])
     def test_bound_against_asymptotic_series(self, n):
-        (r,) = tunneling_exact_values([n])
+        r = tunneling_exact(n)
         assert abs(r.value - mp_p_asymptotic(n)) <= r.err_estimate
 
     def test_ground_state(self):
-        (r,) = tunneling_exact_values([0])
+        r = tunneling_exact(0)
         assert r.value == math.erfc(1.0)
         assert abs(r.value - mpmath.erfc(1)) <= r.err_estimate
 
@@ -335,7 +345,7 @@ class TestTunnelingSeries:
               database=None)
     @given(n=st.integers(min_value=1, max_value=5000))
     def test_agrees_with_the_tail_sum(self, n):
-        (r,) = tunneling_exact_values([n])
+        r = tunneling_exact(n)
         one = tail_sum.tunneling_sum(n)
         assert abs(r.value - one.value) <= r.err_estimate + one.err_estimate
 
@@ -357,11 +367,12 @@ class TestOneLevel:
     @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1023 - 2 ** 969, 10 ** 400],
                              ids=["2^1023", "2^1023-2^969", "10^400"])
     @pytest.mark.parametrize("route", [
-        tunneling_exact, lambda n: tunneling_exact_values([1, n, 2])],
+        tunneling_exact, lambda n: analysis.comparison_table([1, n, 2])],
         ids=["one-level", "sweep"])
     def test_rejects_levels_past_a_double(self, n, route, monkeypatch):
         # 2n+1 rounds past the largest double from 2^1023 - 2^969 on; such
-        # a level is refused before any P_n is computed.
+        # a level is refused before any P_n is computed, by tunneling_exact
+        # and by the one library sweep of P_n that checks its levels.
         monkeypatch.setattr(series, "evaluate", _must_not_run)
         with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
             route(n)

@@ -9,7 +9,6 @@ import pytest
 from osctun import analysis, asymptotics, quadrature, specfun
 
 RECORDS = [
-    (specfun.OscillatorState, ("n", "nu")),
     (specfun.AiryValue, ("t", "value", "method", "err_estimate")),
     (specfun.GammaConstants, ("gamma_one_third", "gamma_two_thirds",
                               "ai_zero", "ai_prime_zero")),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osctun import series, specfun
-from osctun.asymptotics import big_f_n, big_f_n_values
-from osctun.quadrature import tunneling_exact, tunneling_exact_values
+from osctun.asymptotics import big_f_n
+from osctun.quadrature import tunneling_exact
 
 
 def _levels(lowest):
@@ -31,19 +31,17 @@ class TestSweepBits:
               database=None)
     @given(ns=_sweeps(0))
     def test_p_n(self, ns):
-        swept = tunneling_exact_values(ns)
+        values, errs = series.evaluate(series.P, ns)
         singles = [tunneling_exact(n) for n in ns]
-        assert [r.n for r in swept] == [r.n for r in singles]
-        assert _bits(r.value for r in swept) == _bits(
-            r.value for r in singles)
-        assert _bits(r.err_estimate for r in swept) == _bits(
-            r.err_estimate for r in singles)
+        assert [r.n for r in singles] == ns
+        assert _bits(values) == _bits(r.value for r in singles)
+        assert _bits(errs) == _bits(r.err_estimate for r in singles)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(ns=_sweeps(1))
     def test_f_n(self, ns):
-        assert _bits(big_f_n_values(ns)) == _bits(big_f_n(n) for n in ns)
+        assert _bits(big_f_n(ns)) == _bits(big_f_n(n) for n in ns)
 
 
 class TestShapeBits:

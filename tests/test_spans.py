@@ -59,3 +59,20 @@ def test_install_and_uninstall_round_trip(spans, tmp_path):
     assert tracer.counts["cli.main.calls"] == 1
     assert tracer.spans[0][0] == "cli.main"
     assert all(span[2] >= span[1] for span in tracer.spans)
+
+
+def test_fn_sweep_records_one_big_f_n_span(spans, tmp_path):
+    # fn takes its F_n from one big_f_n call on the block of levels, so the
+    # benchmark's asymptotics.big_f_n layer sees that pass.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert osctun.cli.main(["fn", "--n-range", "6:10", "--out",
+                                str(tmp_path / "fn.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.main") == 1
+    assert names.count("asymptotics.big_f_n") == 1
+    span = tracer.spans[names.index("asymptotics.big_f_n")]
+    assert span[3] == names.index("cli.main")

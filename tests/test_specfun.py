@@ -105,6 +105,26 @@ class TestHermitePsi:
         with pytest.raises(ValueError):
             specfun.hermite_psi(2, np.array([1.0, float("inf")]))
 
+    @pytest.mark.parametrize("psi", [specfun.hermite_psi,
+                                     specfun.hermite_psi_squared],
+                             ids=["hermite_psi", "hermite_psi_squared"])
+    def test_level_cap(self, psi, monkeypatch):
+        # The recurrence takes n Python steps and O(n) memory, so a level
+        # past 10^6 is refused before the kernel runs; 10^6 itself reaches
+        # it.
+        class Reached(Exception):
+            pass
+
+        def reached(n, x):
+            raise Reached
+
+        monkeypatch.setattr(_kernels, "hermite_values", reached)
+        for n in (10 ** 6 + 1, 10 ** 12):
+            with pytest.raises(ValueError, match="^n must be at most 1000000"):
+                psi(n, 0.5)
+        with pytest.raises(Reached):
+            psi(10 ** 6, 0.5)
+
 
 class TestAiry:
     def test_against_mpmath(self):
@@ -241,35 +261,16 @@ class TestRealArguments:
         assert call("2.0") == call(2.0)
 
 
-class TestOscillatorState:
-    def test_from_n(self):
-        st = specfun.OscillatorState.from_n(12)
-        assert st.n == 12
-        assert st.nu == math.sqrt(25.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            specfun.OscillatorState.from_n(-3)
-
-    @pytest.mark.parametrize("n", [2 ** 1023, 10 ** 400],
-                             ids=["2^1023", "10^400"])
-    def test_rejects_levels_past_a_double(self, n):
-        # The same refusal as every other level route, not nu = inf or an
-        # OverflowError.
-        with pytest.raises(ValueError, match="2n\\+1 must fit a double"):
-            specfun.OscillatorState.from_n(n)
-
-
 class TestOneSMap:
     """Every route from a level to s = (2n+1)^(-2/3) takes nu^(2/3) from
     series.nu23_of_levels, so no second map can give other bits."""
 
     @pytest.mark.parametrize("route", [
-        lambda: osctun.tunneling_exact_values([5]),
-        lambda: osctun.big_f_n_values([5]),
+        lambda: osctun.tunneling_exact(5),
+        lambda: osctun.big_f_n([5]),
         lambda: osctun.f_n(5, 1.0),
         lambda: osctun.olver_approx(5, 1.2),
-    ], ids=["tunneling_exact_values", "big_f_n_values", "f_n", "olver_approx"])
+    ], ids=["tunneling_exact", "big_f_n", "f_n", "olver_approx"])
     def test_routes_take_the_shared_cube_root(self, route, monkeypatch):
         class Refused(Exception):
             pass
