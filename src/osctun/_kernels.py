@@ -1,16 +1,17 @@
-"""Low-level numerical kernels, vectorized with numpy.
+"""Low-level numerical kernels on float64 scalars and arrays.
 
-Everything here operates on raw float64 scalars/arrays and performs no input
-validation; the public modules own the contracts.  The frozen series, with
-their Clenshaw sum, have their one home in osctun.series.
+Everything here performs no input validation; the public modules own the
+contracts.  The frozen series, with their Clenshaw sum, have their one
+home in osctun.series.
 
 Kernels:
 - hermite_values(n, x):       oscillator eigenfunction psi_n on an x array,
                               power-of-2 scaled three-term recurrence
-- airy_values(t):             (Ai, Ai', err_estimate, method) on a t array,
-                              dd-compensated Maclaurin series below T_SWITCH,
-                              whose one loop sums F, G and both derivatives,
-                              20-term asymptotic expansion above
+- airy_values(t):             (Ai, Ai', err_estimate, method) at each t >= 0,
+                              A(sqrt t) exp(-z) with the records series.AI
+                              and series.AIP at and below T_SWITCH, the
+                              asymptotic expansion to its 22nd term above;
+                              one pass on Python floats per point
 - invert_zeta_values(zeta):   x - 1 solving zeta(x) = zeta, series.PSI up
                               to zeta(2), Newton on zeta^(3/2) above
 - zeta_f_from_e(e):           forward turning-point map and its f ratio,
@@ -45,34 +46,40 @@ LN2_HI = 0.6931471805599453
 LN2_LO = 2.3190468138462996e-17
 PI_M14 = 0.7511255444649425
 
-# Airy branch switch; the dd series holds <= 5e-15 relative through t ~ 9.5
-# while the 20-term asymptotic expansion reaches ~2e-15 at t = 9 (z = 18)
+# Airy branch switch: the records series.AI and series.AIP serve t <= 9,
+# u = sqrt(t) <= 3, and the asymptotic expansion t > 9, z > 18, to its
+# 22nd term: 20 terms leave 2.3 eps of truncation error at t = 9, 22 leave
+# 0.8
 T_SWITCH = 9.0
-AIRY_SERIES = 0    # method codes
+_ASY_TERMS = 22
+AIRY_RECORD = 0    # method codes
 AIRY_ASYMPTOTIC = 1
-_MAX_TERMS = 200
-_ROW_SHIFT = np.array([[0.0], [1.0]])      # F's row, G's row of the series
-_ROW_FLOOR = np.array([[0.0], [1e-300]])   # floors |G| in the stop rule
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3) and Ai'(0) = -3^(-1/3)/Gamma(1/3) as hi/lo
-# pairs; the series combination Ai = Ai(0) F + Ai'(0) G cancels ~16 digits at
-# t ~ 9, so the constants must carry ~32
-AI0_HI = 0.3550280538878172
-AI0_LO = 2.05233632436212e-17
-AIP0_HI = -0.2588194037928068
-AIP0_LO = 2.522243111610832e-17
+# 2/3 in two parts: TWO_THIRDS_HI is 2/3 rounded to double, TWO_THIRDS_LO
+# the remainder
+TWO_THIRDS_HI = 2.0 / 3.0
+TWO_THIRDS_LO = 3.700743415417188e-17
+
+# Ai's error claims, in eps of the value: on the records, beyond the
+# record's own err_eps, exp's ulp and two roundings; on the expansion,
+# beyond its last term, exp, pow and the prefactor's roundings, SQRT_PI's
+# 0.65 ulp among them.  A value below Ai's normal range errs by up to one
+# subnormal ulp, so no claim there is less than the smallest subnormal.
+_AIRY_EXP_EPS = 2.0
+_AIRY_ASY_EPS = 4.0
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = math.ulp(0.0)
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting
 
-# u_k, v_k coefficients of the large-t expansions of Ai, Ai'
-_ASY_U = np.empty(26)
-_ASY_V = np.empty(26)
-_ASY_U[0] = 1.0
-_ASY_V[0] = 1.0
-for _k in range(1, 26):
-    _ASY_U[_k] = _ASY_U[_k - 1] * ((6 * _k - 5) * (6 * _k - 3) * (6 * _k - 1)) / (
-        (2 * _k - 1) * 216.0 * _k)
-    _ASY_V[_k] = -_ASY_U[_k] * (6 * _k + 1) / (6 * _k - 1.0)
+# (-1)^k u_k and (-1)^k v_k, k = 0.._ASY_TERMS, the coefficients of the
+# large-t expansions of Ai and Ai' in 1/z (DLMF 9.7.5, 9.7.6)
+_ASY_U = [1.0]
+_ASY_V = [1.0]
+for _k in range(1, _ASY_TERMS + 1):
+    _ASY_U.append(-_ASY_U[-1] * ((6 * _k - 5) * (6 * _k - 3) * (6 * _k - 1))
+                  / ((2 * _k - 1) * 216.0 * _k))
+    _ASY_V.append(-_ASY_U[-1] * (6 * _k + 1) / (6 * _k - 1.0))
 del _k
 
 # The map's one seam: PHI serves e = x - 1 < 1, PSI zeta <= ZETA_2, the
@@ -81,18 +88,7 @@ ZETA_2 = series.PSI.s_max
 
 
 # ---------------------------------------------------------------------------
-# error-free transforms; elementwise, so they take floats or ndarrays alike
-
-def two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
+# error-free product; elementwise, so it takes floats or ndarrays alike
 
 def two_prod(a, b):
     p = a * b
@@ -103,28 +99,6 @@ def two_prod(a, b):
     bhi = bb - (bb - b)
     blo = b - bhi
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def dd_add(ah, al, bh, bl):
-    s, e = two_sum(ah, bh)
-    return quick_two_sum(s, e + al + bl)
-
-
-def dd_mul(ah, al, bh, bl):
-    p, e = two_prod(ah, bh)
-    return quick_two_sum(p, e + ah * bl + al * bh)
-
-
-def dd_mul_d(ah, al, b):
-    p, e = two_prod(ah, b)
-    return quick_two_sum(p, e + al * b)
-
-
-def dd_div_d(ah, al, b):
-    q1 = ah / b
-    p, e = two_prod(q1, b)
-    s, e2 = two_sum(ah, -p)
-    return quick_two_sum(q1, (s + (e2 + al - e)) / b)
 
 
 # ---------------------------------------------------------------------------
@@ -174,96 +148,57 @@ def hermite_values(n, x):
     return np.ldexp(m1, ioff)
 
 
-def _airy_series(t):
-    # Ai = Ai(0) F + Ai'(0) G with F = sum f_k, G = sum g_k (DLMF 9.4),
-    # summed in double-double as two stacked rows: f_0 = 1, g_0 = t, and
-    # term k+1 is term k times t^3 over (j+2)(j+3), j = 3k for F and 3k+1
-    # for G.  The t^3 power also stays in dd so high terms do not drift.
-    # The same terms give t F' = sum 3k f_k and t G' - t = sum_{k>=1}
-    # (3k+1) g_k, term k+1 weighted by j+3; both sums are 0 at t = 0.
-    t3h, t3l = two_prod(t, t)
-    t3h, t3l = dd_mul_d(t3h, t3l, t)
-    th = np.stack([np.ones_like(t), t])
-    tl = np.zeros_like(th)
-    sh = th.copy()
-    sl = np.zeros_like(th)
-    dh = np.zeros_like(th)
-    dl = np.zeros_like(th)
-    mag = 1.0 + np.abs(t)
-    for k in range(_MAX_TERMS):
-        j = 3.0 * k + _ROW_SHIFT
-        th, tl = dd_mul(th, tl, t3h, t3l)
-        th, tl = dd_div_d(th, tl, (j + 2.0) * (j + 3.0))
-        sh, sl = dd_add(sh, sl, th, tl)
-        ph, pl = dd_mul_d(th, tl, j + 3.0)
-        dh, dl = dd_add(dh, dl, ph, pl)
-        mag = mag + np.abs(th[0]) + np.abs(th[1])
-        if (np.abs(th) < 1e-35 * np.maximum(np.abs(sh), _ROW_FLOOR)).all():
-            break
-    # F' and G' - 1 on the rows; t = 0 divides its zero sums by 1
-    dh, dl = dd_div_d(dh, dl, np.where(t == 0.0, 1.0, t))
-    gph, gpl = dd_add(1.0, 0.0, dh[1], dl[1])
-    # rows Ai = Ai(0) F + Ai'(0) G and Ai' = Ai(0) F' + Ai'(0) G'
-    fh, fl = np.stack([sh[0], dh[0]]), np.stack([sl[0], dl[0]])
-    gh, gl = np.stack([sh[1], gph]), np.stack([sl[1], gpl])
-    ah, al = dd_mul(fh, fl, AI0_HI, AI0_LO)
-    bh, bl = dd_mul(gh, gl, AIP0_HI, AIP0_LO)
-    (aih, aiph), _ = dd_add(ah, al, bh, bl)
-    err = 2.5e-16 * np.abs(aih) + 1e-31 * mag
-    return aih, aiph, err
-
-
-def _airy_asym(t):
-    # Ai and Ai' round to 0.0 from t ~ 108 on, and so they do at t = 1e3,
-    # which keeps t^(3/2) and z^20 finite for any larger t.
-    t = np.minimum(t, 1e3)
-    st = np.sqrt(t)
-    z = (2.0 / 3.0) * t * st
-    # Above T_SWITCH (z > 18) the terms fall through k = 20, since
-    # u_k / (u_(k-1) z) <= 0.53 there, so all 20 are summed and the last
-    # one stands for the remainder.
-    s_ai = np.ones_like(t)
-    s_aip = np.ones_like(t)
-    zk = np.ones_like(t)
-    sign = -1.0
-    for k in range(1, 21):
-        zk = zk * z
-        term = _ASY_U[k] / zk
-        s_ai = s_ai + sign * term
-        s_aip = s_aip + sign * (_ASY_V[k] / zk)
-        sign = -sign
-    dropped = np.abs(term)
+def _airy_point(t):
+    # Ai(t) = A(u) exp(-z) and Ai'(t) = -A1(u) exp(-z), u = sqrt(t) and
+    # z = (2/3) t u, with A and A1 from the records at and below T_SWITCH
+    # and from the expansion above (DLMF 9.7.5, 9.7.6).  On Python floats
+    # exp and pow are libm's, so the bits do not depend on numpy's CPU
+    # dispatch.  Ai and Ai' round to 0.0 from t ~ 107.4, and so they do
+    # at t = 1e3, which keeps the products below finite for any larger t.
+    t = min(t, 1e3)
+    u = math.sqrt(t)
+    # z as zh + zl to about 1e-30 relative: u^2 = p + q exactly, so
+    # r = t - p - q is the rounding of u, t sqrt(t) = t u + u r / 2 to
+    # O(r^2), and 2/3 is taken in two parts.  exp(-z) = exp(-zh) (1 - zl).
+    p, q = two_prod(u, u)
+    th, tl = two_prod(t, u)
+    zh, zl = two_prod(th, TWO_THIRDS_HI)
+    zl += (tl + 0.5 * u * ((t - p) - q)) * TWO_THIRDS_HI + th * TWO_THIRDS_LO
+    ez = math.exp(-zh)
+    if t <= T_SWITCH:
+        ez *= 1.0 - zl
+        ai = series.chebyshev_of_s(series.AI, u) * ez
+        aip = -series.chebyshev_of_s(series.AIP, u) * ez
+        err = (series.AI.err_eps + _AIRY_EXP_EPS) * _EPS * ai
+        return ai, aip, err, AIRY_RECORD
+    # Above T_SWITCH (z > 18) the terms fall through k = _ASY_TERMS, since
+    # u_k / (u_(k-1) z) <= 0.59 there, so all are summed, by Horner's rule
+    # in w = 1/z, and the last one stands for the remainder.
+    w = 1.0 / zh
+    s_ai = s_aip = 0.0
+    for k in range(_ASY_TERMS, 0, -1):
+        s_ai = w * (_ASY_U[k] + s_ai)
+        s_aip = w * (_ASY_V[k] + s_aip)
+    last = abs(_ASY_U[-1]) * w ** _ASY_TERMS
     q = t ** 0.25
-    ez = np.exp(-z)
-    pref = ez / (2.0 * SQRT_PI * q)
-    ai = pref * s_ai
-    aip = -q * ez / (2.0 * SQRT_PI) * s_aip
-    # first dropped term plus an exp(-z) argument-rounding envelope
-    err = np.abs(ai) * ((z + 6.0) * 3e-16) + pref * dropped
-    return ai, aip, err
+    # ez (which may be subnormal) is the last factor, so a subnormal
+    # result is rounded once
+    scale = (1.0 - zl) / (2.0 * SQRT_PI)
+    ai = ez * (scale / q * (1.0 + s_ai))
+    aip = -ez * (scale * q * (1.0 + s_aip))
+    err = (_AIRY_ASY_EPS * _EPS * ai + ez * (scale / q * last)) + _TINY
+    return ai, aip, err, AIRY_ASYMPTOTIC
 
 
 def airy_values(t):
-    """(Ai, Ai', err_estimate, method) at each t; method is AIRY_SERIES at
-    t <= T_SWITCH and AIRY_ASYMPTOTIC above."""
+    """(Ai, Ai', err_estimate, method) at each t >= 0 of a float or an
+    array, as four arrays of t's shape; method is AIRY_RECORD at
+    t <= T_SWITCH and AIRY_ASYMPTOTIC above.  One point and an array give
+    the same bits."""
     t = np.asarray(t, dtype=np.float64)
-    ai = np.empty_like(t)
-    aip = np.empty_like(t)
-    err = np.empty_like(t)
-    ser = t <= T_SWITCH
-    if ser.any():
-        a, ap, e = _airy_series(t[ser])
-        ai[ser] = a
-        aip[ser] = ap
-        err[ser] = e
-    asym = ~ser
-    if asym.any():
-        a, ap, e = _airy_asym(t[asym])
-        ai[asym] = a
-        aip[asym] = ap
-        err[asym] = e
-    method = np.where(ser, AIRY_SERIES, AIRY_ASYMPTOTIC).astype(np.int8)
-    return ai, aip, err, method
+    out = np.array([_airy_point(v) for v in t.ravel().tolist()],
+                   dtype=np.float64).reshape(t.shape + (4,))
+    return out[..., 0], out[..., 1], out[..., 2], out[..., 3].astype(np.int8)
 
 
 def invert_zeta_values(zeta):

@@ -17,8 +17,11 @@ nu23_of_levels is every level route's one cube root of 2n+1, so a level's
 bits depend neither on the route nor on the sweep around it.
 
 PHI and PSI carry the map zeta(x) over [1, 2] for osctun._kernels, one
-record per direction, summed by chebyshev_of_s on their own intervals; they
-are not level series, so evaluate does not take them.
+record per direction, and AI and AIP the Airy function and its derivative
+on t = u^2 in [0, 9], Ai(t) = AI(u) exp(-(2/3) u^3) and
+Ai'(t) = -AIP(u) exp(-(2/3) u^3).  They are summed by chebyshev_of_s on
+their own intervals; they are not level series, so evaluate does not take
+them.
 """
 
 import math
@@ -26,8 +29,8 @@ from collections import namedtuple
 
 import numpy as np
 
-__all__ = ["Series", "S_MAX", "P", "F", "PHI", "PSI", "nu23_of_levels",
-           "chebyshev_of_s", "evaluate"]
+__all__ = ["Series", "S_MAX", "P", "F", "PHI", "PSI", "AI", "AIP",
+           "nu23_of_levels", "chebyshev_of_s", "evaluate"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -145,6 +148,91 @@ PSI = Series(coeffs=(
     2.6985349611202266e-18,
     -3.533752264618369e-19,
 ), s_max=1.3738782622040782, err_eps=2.0, over_nu23=False, at_zero=math.nan)
+
+# AI(u) = Ai(u^2) exp((2/3) u^3) on u = sqrt(t) in [0, 3]; c_35 is 7e-19.
+# Written by tools/gen_series.py from 40-digit samples; do not edit by
+# hand.  A falls from Ai(0) = 0.355 to 0.162; at 40,001 u it is within
+# 1.20 eps of 40-digit mpmath, and the claim is 2 eps.
+AI = Series(coeffs=(
+    0.24540526334223897,
+    -0.10071365595847216,
+    0.017928238629105673,
+    0.0019461722088510392,
+    -0.003851722910280746,
+    0.002188705648967261,
+    -0.0008327357709576289,
+    0.00021336819156073225,
+    -1.88096718734326e-05,
+    -1.5793598275449384e-05,
+    1.1213773480493111e-05,
+    -4.35592180214514e-06,
+    1.084967271375558e-06,
+    -9.418372793289813e-08,
+    -6.81975963544861e-08,
+    4.5087131952892317e-08,
+    -1.5823546484056953e-08,
+    3.3546040229703474e-09,
+    -8.986086128963357e-11,
+    -2.8034480792423896e-10,
+    1.4269357325653648e-10,
+    -4.141187730327463e-11,
+    6.3336937562966e-12,
+    7.813559333938671e-13,
+    -9.121682061930495e-13,
+    3.4354585152448444e-13,
+    -7.567879240920253e-14,
+    4.678970050295474e-15,
+    4.180019663916995e-15,
+    -2.185202014119988e-15,
+    6.017173414875142e-16,
+    -8.326995148136605e-17,
+    -1.16726376415316e-17,
+    1.1227771528020277e-17,
+    -3.753243794393178e-18,
+), s_max=3.0, err_eps=2.0, over_nu23=False, at_zero=math.nan)
+
+# AIP(u) = -Ai'(u^2) exp((2/3) u^3) on [0, 3]; c_36 is 5e-19.  Written by
+# tools/gen_series.py from 40-digit samples; do not edit by hand.  It rises
+# from -Ai'(0) = 0.259 to 0.49; at 40,001 u it is within 1.77 eps of
+# 40-digit mpmath, and the claim is 2 eps.
+AIP = Series(coeffs=(
+    0.3640872936252761,
+    0.12417812599404973,
+    0.008685819305811132,
+    -0.00803165471754865,
+    0.002630950952035602,
+    -0.00022256253342057782,
+    -0.0003055345417837353,
+    0.0002314004270231768,
+    -9.848251935667122e-05,
+    2.6885367428384885e-05,
+    -2.5663458980415916e-06,
+    -1.9995724373348674e-06,
+    1.4437696108569266e-06,
+    -5.547729219974157e-07,
+    1.3165790259428045e-07,
+    -7.233543293952636e-09,
+    -1.0639770009096473e-08,
+    6.209016285314685e-09,
+    -2.0194469180628564e-09,
+    3.7171289760014824e-10,
+    1.8317169137544324e-11,
+    -4.478263860827572e-11,
+    1.9533944714442885e-11,
+    -5.001899955195975e-12,
+    5.382575356592288e-13,
+    2.0047178925144693e-13,
+    -1.378754213709103e-13,
+    4.438732414815651e-14,
+    -7.956493771281692e-15,
+    -2.1595743143125796e-16,
+    7.462296604037785e-16,
+    -3.0278852052221907e-16,
+    6.932580104427425e-17,
+    -5.4522324388854316e-18,
+    -3.0835602099692222e-18,
+    1.6910426966470394e-18,
+), s_max=3.0, err_eps=2.0, over_nu23=False, at_zero=math.nan)
 
 
 def nu23_of_levels(levels):

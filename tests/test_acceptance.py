@@ -157,11 +157,14 @@ def test_11_property_suite(tmp_path, capsys):
         want = math.sqrt((x * x - 1.0) / zeta_of_x(x))
         checks.append(abs(num - want) <= 1e-6 * want)
 
-    from osctun._kernels import _airy_asym, _airy_series
-    t = np.linspace(8.5, 9.5, 64)
-    ai_s, _, _ = _airy_series(t)
-    ai_a, _, _ = _airy_asym(t)
-    checks.append(float(np.max(np.abs(ai_s - ai_a) / np.abs(ai_a))) <= 1e-10)
+    # Ai's seam: the last double of the record branch and the first of the
+    # expansion lie on one curve, within their err_estimates.
+    from osctun._kernels import T_SWITCH
+    a = specfun.airy_ai(T_SWITCH)
+    b = specfun.airy_ai(math.nextafter(T_SWITCH, 10.0))
+    slope = specfun.airy_ai_prime(T_SWITCH)
+    checks.append(abs(b.value - (a.value + slope * (b.t - a.t)))
+                  <= a.err_estimate + b.err_estimate)
 
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):

@@ -1,10 +1,11 @@
 """The series generator still describes the records osctun.series holds.
 
-tools/gen_series.py freezes the coefficients of osctun.series.P, F, PHI
-and PSI; a full run takes minutes of mpmath sampling, nearly all of it
-P's and F's.  These tests load the file as it is and check its table of
-series and its literal printing against the records, and rerun only the
-two map samplers, which take a tenth of a second.
+tools/gen_series.py freezes the coefficients of osctun.series.P, F, PHI,
+PSI, AI and AIP; a full run takes minutes of mpmath sampling, nearly all
+of it P's and F's.  These tests load the file as it is and check its table
+of series and its literal printing against the records, and rerun only the
+two map samplers and the two Airy samplers, which take a tenth of a second
+each.
 """
 
 import importlib.util
@@ -34,7 +35,7 @@ def _records():
 
 def test_every_series_names_a_frozen_tuple(tool):
     assert {s.name for s in tool.SERIES} == set(_records()) == {
-        "P", "F", "PHI", "PSI"}
+        "P", "F", "PHI", "PSI", "AI", "AIP"}
     for series in tool.SERIES:
         frozen = getattr(records, series.name).coeffs
         assert type(frozen) is tuple
@@ -59,7 +60,8 @@ def test_each_series_keeps_its_interval_end(tool):
     # at 40 digits; one end for both moves P's coefficients.  Both records
     # are summed on S_MAX, within one ulp of F's sampled end.  PHI was
     # sampled and is summed on [0, 1], PSI on [0, zeta(2)] with zeta(2)
-    # rounded to a double.
+    # rounded to a double.  AI and AIP were sampled and are summed on
+    # u = sqrt(t) in [0, 3].
     ends = {s.name: s.s_hi for s in tool.SERIES}
     assert records.P.s_max == records.F.s_max == records.S_MAX
     assert ends["P"] == records.S_MAX
@@ -67,6 +69,8 @@ def test_each_series_keeps_its_interval_end(tool):
     assert abs(ends["F"] - records.S_MAX) < math.ulp(records.S_MAX)
     assert ends["PHI"] == records.PHI.s_max == 1.0
     assert ends["PSI"] == records.PSI.s_max
+    assert ends["AI"] == ends["AIP"] == records.AI.s_max == records.AIP.s_max
+    assert records.AI.s_max == 3.0
     with tool.mpmath.workdps(40):
         zeta_2 = tool.zeta_of_x(tool.mpmath.mpf(2))
         assert abs(records.PSI.s_max - zeta_2) <= math.ulp(zeta_2) / 2
@@ -81,3 +85,14 @@ def test_map_records_regenerate_bit_for_bit(tool, name):
     # PHI >= 1 and PSI > 0.7 on their intervals, so the first dropped
     # coefficient costs them under a thousandth of an eps.
     assert abs(coeffs[series.degree + 1]) < 2.0 ** -52 / 1000
+
+
+@pytest.mark.parametrize("name", ["AI", "AIP"])
+def test_airy_records_regenerate_bit_for_bit(tool, name):
+    series = next(s for s in tool.SERIES if s.name == name)
+    coeffs = tool.chebyshev_coefficients(series)
+    assert getattr(records, name).coeffs == tuple(
+        float(c) for c in coeffs[:series.degree + 1])
+    # A >= 0.16 and A1 >= 0.25 on [0, 3], so the first dropped
+    # coefficient costs them under a fortieth of an eps.
+    assert abs(coeffs[series.degree + 1]) < 0.16 * 2.0 ** -52 / 40

@@ -3,6 +3,9 @@ scalar tail sum (tail_sum.py) match independent evaluations: mpmath,
 direct recurrences and numpy's Chebyshev sum."""
 
 import hashlib
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,14 +44,59 @@ def test_inversion_stays_far_from_the_step_cap(monkeypatch):
     assert len(calls) <= 10
 
 
-def test_airy_series_bits_pinned():
-    # The Maclaurin branch uses only + - * / and abs, which IEEE 754 rounds
-    # the same on every CPU, so these bits hold under numpy's AVX2 dispatch
-    # (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") as well.
-    t = np.linspace(-2.0, 9.0, 20001)
-    ai = _kernels.airy_values(t)[0]
-    assert hashlib.sha256(ai.tobytes()).hexdigest() == (
-        "4158fd68e63d42f957cb0ec4bff8e77324ede03afe3c3da22fe80bb3f06d3838")
+# Ai, Ai' and err_estimate at 20,001 points of [0, 104], run in this process
+# and in a child.
+_AIRY_DIGEST = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from osctun import _kernels\n"
+    "t = np.linspace(0.0, 104.0, 20001)\n"
+    "ai, aip, err, _ = _kernels.airy_values(t)\n"
+    "digest = hashlib.sha256(np.stack([ai, aip, err]).tobytes()).hexdigest()\n"
+    "exp_digest = hashlib.sha256(np.exp(-t).tobytes()).hexdigest()\n")
+_AIRY_PIN = (
+    "87a769f3314676cde717b8cac32db012b2fd793c6703f9a9e2f0bc36c2d49c38")
+
+
+def test_airy_bits_pinned(child_env):
+    # The kernel takes exp and pow from libm, on Python floats, and
+    # otherwise only + - * / and sqrt, which IEEE 754 rounds the same on
+    # every CPU.  So the bits hold in a child whose numpy may not use its
+    # targets above AVX2, where np.exp itself gives other bits.
+    here = {}
+    exec(_AIRY_DIGEST, here)
+    assert here["digest"] == _AIRY_PIN
+    # One point gives the bits it has in an array.
+    t = here["t"]
+    for i in list(range(0, t.size, 97)) + [t.size - 1]:
+        point = _kernels.airy_values(float(t[i]))
+        for one, many in zip(point, (here["ai"], here["aip"], here["err"])):
+            assert one.shape == ()
+            assert one.tobytes() == many[i].tobytes(), t[i]
+    for v in (math.nextafter(_kernels.T_SWITCH, 0.0), _kernels.T_SWITCH,
+              math.nextafter(_kernels.T_SWITCH, 10.0), 110.0):
+        many = _kernels.airy_values(np.array([0.5, v, 50.0]))
+        for one, col in zip(_kernels.airy_values(v), many):
+            assert one.tobytes() == col[1].tobytes(), v
+    # The dispatch targets above AVX2 (X86_V3) that this host runs.
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    above = [d for d in umath.__cpu_dispatch__
+             if (d == "X86_V4" or d.startswith("AVX512"))
+             and umath.__cpu_features__.get(d)]
+    if not above:
+        pytest.skip("numpy runs no dispatch target above AVX2 on this "
+                    "host, so there is no second mode to compare")
+    env = dict(child_env, NPY_DISABLE_CPU_FEATURES=" ".join(above))
+    res = subprocess.run(
+        [sys.executable, "-c", _AIRY_DIGEST + "print(digest, exp_digest)"],
+        capture_output=True, text=True, env=env, check=True)
+    digest, exp_digest = res.stdout.split()
+    # The child really took other loops: its np.exp differs.
+    assert exp_digest != here["exp_digest"]
+    assert digest == _AIRY_PIN
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 3.0, 44.73, 1000.0, 3e4])

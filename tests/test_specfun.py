@@ -1,6 +1,7 @@
 """Eigenfunction and Airy evaluation against closed forms and mpmath."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -126,42 +127,81 @@ class TestHermitePsi:
             psi(10 ** 6, 0.5)
 
 
-class TestAiry:
-    def test_against_mpmath(self):
-        mpmath.mp.dps = 30
-        for t in np.linspace(-2.0, 50.0, 209):
-            av = specfun.airy_ai(float(t))
-            want = float(mpmath.airyai(mpmath.mpf(float(t))))
-            assert abs(av.value - want) <= 5e-14 * max(abs(want), 1e-300)
-            assert abs(av.value - want) <= max(av.err_estimate, 5e-16 * abs(want))
+# About 1,000 points of [0, 110]: a grid, the doubles on either side of the
+# branch switch, and the range from t ~ 103.89 where Ai is subnormal, down
+# to the 0.0 it rounds to from t ~ 107.4.
+_AIRY_T = (np.linspace(0.0, 110.0, 1001).tolist()
+           + [math.nextafter(_kernels.T_SWITCH, 0.0), _kernels.T_SWITCH,
+              math.nextafter(_kernels.T_SWITCH, math.inf)])
+_NORMAL = sys.float_info.min
+_EPS = 2.0 ** -52
 
-    def test_err_estimate_contract(self):
-        for t in np.linspace(-1.0, 50.0, 103):
-            av = specfun.airy_ai(float(t))
-            assert av.err_estimate <= 1e-12 * max(abs(av.value), 1e-300)
-            assert av.err_estimate >= 0.0
+
+@pytest.fixture(scope="module")
+def airy_rows():
+    """(t, AiryValue, Ai', 40-digit Ai, 40-digit Ai') at each of _AIRY_T."""
+    with mpmath.workdps(40):
+        return [(t, specfun.airy_ai(t), specfun.airy_ai_prime(t),
+                 mpmath.airyai(t), mpmath.airyai(t, 1)) for t in _AIRY_T]
+
+
+class TestAiry:
+    def test_against_mpmath(self, airy_rows):
+        # Within 4 eps on [0, 104], subnormal values from t ~ 103.89
+        # included.
+        with mpmath.workdps(40):
+            for t, av, _, ai, _ in airy_rows:
+                if t <= 104.0:
+                    assert abs(av.value - ai) <= 4 * _EPS * ai, t
+
+    def test_prime_against_mpmath(self, airy_rows):
+        with mpmath.workdps(40):
+            for t, _, aip, _, want in airy_rows:
+                if t <= 104.0:
+                    assert abs(aip - want) <= 4 * _EPS * abs(want), t
+
+    def test_err_estimate_contract(self, airy_rows):
+        # err_estimate bounds the error at every point, also where Ai is
+        # subnormal or rounds to 0.0; where Ai is normal, the largest
+        # relative claim on each branch is within 10 times the largest
+        # relative error measured on it.
+        claim = {}
+        worst = {}
+        with mpmath.workdps(40):
+            for t, av, _, ai, _ in airy_rows:
+                err = abs(av.value - ai)
+                assert av.err_estimate >= err, t
+                assert av.err_estimate > 0.0, t
+                if ai >= _NORMAL:
+                    rel = float(err / ai)
+                    worst[av.method] = max(worst.get(av.method, 0.0), rel)
+                    claim[av.method] = max(claim.get(av.method, 0.0),
+                                           av.err_estimate / av.value)
+        assert set(claim) == {"series.AI", "asymptotic-expansion"}
+        for method in claim:
+            assert claim[method] <= 10.0 * worst[method], method
+        assert specfun.airy_ai(110.0).value == 0.0
+
+    @pytest.mark.parametrize("name, derivative, sign",
+                             [("AI", 0, 1), ("AIP", 1, -1)])
+    def test_records_within_their_claim(self, name, derivative, sign):
+        # AI(u) = Ai(u^2) exp((2/3) u^3) and AIP(u) = -Ai'(u^2) exp(...)
+        # at 301 u of [0, 3], summed as the kernel sums them.
+        record = getattr(series, name)
+        with mpmath.workdps(40):
+            for u in np.linspace(0.0, 3.0, 301).tolist():
+                v = mpmath.mpf(u)
+                want = sign * mpmath.airyai(v * v, derivative) * mpmath.exp(
+                    2 * v ** 3 / 3)
+                got = series.chebyshev_of_s(record, u)
+                assert abs(got - want) <= record.err_eps * _EPS * want, u
 
     def test_branch_tags(self):
-        assert specfun.airy_ai(0.0).method == "maclaurin-series"
-        assert specfun.airy_ai(-2.0).method == "maclaurin-series"
+        assert specfun.airy_ai(0.0).method == "series.AI"
+        assert specfun.airy_ai(_kernels.T_SWITCH).method == "series.AI"
+        assert specfun.airy_ai(math.nextafter(_kernels.T_SWITCH, 10.0)
+                               ).method == "asymptotic-expansion"
         assert specfun.airy_ai(30.0).method == "asymptotic-expansion"
-
-    def test_branch_overlap_window(self):
-        # Both branches must agree on a unit-wide window straddling the
-        # switch point, so the switch value is not load-bearing.
-        t = np.linspace(8.5, 9.5, 101)
-        ai_s, _, _ = _series_branch(t)
-        ai_a, _, _ = _asym_branch(t)
-        rel = np.abs(ai_s - ai_a) / np.abs(ai_a)
-        assert rel.max() < 1e-10
-
-    def test_prime_against_mpmath(self):
-        # The bound the docstring states, with about threefold headroom.
-        mpmath.mp.dps = 30
-        for t in np.linspace(-2.0, 50.0, 105):
-            got = specfun.airy_ai_prime(float(t))
-            want = float(mpmath.airyai(mpmath.mpf(float(t)), 1))
-            assert abs(got - want) <= 2e-13 * max(abs(want), 1e-300)
 
     def test_ode_residual_by_rk4(self):
         # March u'' = t u from the origin seeds with RK4 and compare the
@@ -186,37 +226,32 @@ class TestAiry:
                 av = specfun.airy_ai(tc)
                 assert abs(av.value - y[0]) <= 1e-8 * max(abs(y[0]), 1e-12)
 
-    @pytest.mark.parametrize("t, bound", [(_kernels.T_SWITCH, 0.53),
-                                          (8.5, 0.58)])
+    @pytest.mark.parametrize("t, bound", [(_kernels.T_SWITCH, 0.59)])
     def test_asymptotic_terms_fall(self, t, bound):
-        # The expansion sums all 20 terms and takes the last as its
+        # The expansion sums all _ASY_TERMS terms and takes the last as its
         # remainder, which holds while each term is below the one before.
-        # u_k / (u_(k-1) z) grows with k and falls with t, so the 20th
-        # ratio bounds every term from t on; the overlap window and
-        # test_acceptance call the branch from 8.5.
+        # u_k / (u_(k-1) z) grows with k and falls with t, so the last
+        # ratio bounds every term from the switch on.  That last term, 2.1
+        # eps at the switch, is part of the claim there; 20 terms would
+        # leave 6.5 eps, and 2.3 eps of actual truncation error.
         z = 2.0 / 3.0 * t ** 1.5
-        u = _kernels._ASY_U[:21]
+        u = np.abs(np.array(_kernels._ASY_U))
+        assert u.size == _kernels._ASY_TERMS + 1
         ratio = u[1:] / (u[:-1] * z)
         assert (np.diff(ratio) > 0.0).all()
         assert ratio[-1] <= bound
+        assert u[-1] / z ** _kernels._ASY_TERMS <= 2.5 * _EPS
 
     def test_rejects_bad_input(self):
+        # No route calls Ai below 0: t = nu^(4/3) zeta >= 0.
         with pytest.raises(ValueError):
-            specfun.airy_ai(-2.5)
+            specfun.airy_ai(-1e-300)
+        with pytest.raises(ValueError):
+            specfun.airy_ai_prime(-2.0)
         with pytest.raises(ValueError):
             specfun.airy_ai(float("inf"))
         with pytest.raises(ValueError):
             specfun.airy_ai_values(np.array([0.0, -3.0]))
-
-
-def _series_branch(t):
-    from osctun._kernels import _airy_series
-    return _airy_series(np.asarray(t, dtype=np.float64))
-
-
-def _asym_branch(t):
-    from osctun._kernels import _airy_asym
-    return _airy_asym(np.asarray(t, dtype=np.float64))
 
 
 # Every public entry point taking a real argument: (call, the name its
@@ -225,9 +260,9 @@ _REAL_ARGUMENTS = {
     "hermite_psi": (lambda x: specfun.hermite_psi(3, x), "x", None, False),
     "hermite_psi_squared": (lambda x: specfun.hermite_psi_squared(3, x),
                             "x", None, False),
-    "airy_ai": (specfun.airy_ai, "t", -2.5, True),
-    "airy_ai_prime": (specfun.airy_ai_prime, "t", -2.5, True),
-    "airy_ai_values": (specfun.airy_ai_values, "t", -2.5, False),
+    "airy_ai": (specfun.airy_ai, "t", -1e-300, True),
+    "airy_ai_prime": (specfun.airy_ai_prime, "t", -1e-300, True),
+    "airy_ai_values": (specfun.airy_ai_values, "t", -1e-300, False),
     "zeta_of_x": (asymptotics.zeta_of_x, "x", 0.5, False),
     "f_of_x": (asymptotics.f_of_x, "x", 0.5, False),
     "x_of_zeta": (asymptotics.x_of_zeta, "zeta", -1e-9, False),

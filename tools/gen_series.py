@@ -1,8 +1,9 @@
 """Chebyshev coefficients of the P_n and F_n series in s = (2n+1)^(-2/3),
-and of the two records of the turning-point map near x = 1.
+of the two records of the turning-point map near x = 1, and of the two
+records of the Airy function on t in [0, 9].
 
 Usage:
-    python3 tools/gen_series.py            # print the four coefficient tuples
+    python3 tools/gen_series.py            # print the six coefficient tuples
     python3 tools/gen_series.py --check    # compare them with osctun.series
 
 The P_n and F_n series are functions of s = nu^(-4/3) = (2n+1)^(-2/3) on
@@ -45,13 +46,24 @@ per direction on [1, 2], each sampled at 40 digits with the DCT at 40:
   frozen as osctun.series.PSI.  Psi(0) = 2^(-1/3).  Each sample's x - 1 is
   an mpmath root of zeta(1 + e) = zeta.
 
+The Airy function is Ai(t) = A(u) exp(-z) with u = sqrt(t) and
+z = (2/3) u^3 (DLMF 9.7.5), and Ai'(t) = -A1(u) exp(-z).  A and A1 are
+entire in u and vary by under a factor of three on [0, 3], t in [0, 9];
+each is sampled with mpmath.airyai at 48 points and 40 digits, DCT at 40:
+
+- AI: A(u) = Ai(u^2) exp((2/3) u^3), c_0..c_34 kept (c_35 is about
+  7e-19), frozen as osctun.series.AI.  A(0) = Ai(0), and A falls to 0.162.
+- AIP: A1(u) = -Ai'(u^2) exp((2/3) u^3), c_0..c_35 kept (c_36 is about
+  5e-19), frozen as osctun.series.AIP.  A1(0) = -Ai'(0), and A1 rises to
+  0.49.
+
 The script checks the real-order sum against the independent 50-digit
 perfbench/references.PnReference, then prints each record's coefficient
 tuple as osctun.series holds it, and the dropped coefficients on stderr;
 --check compares them with the records instead and exits 1 on any
-difference.  It needs mpmath only and
-takes about two minutes, most of it in P's sample nearest s = 0 (n = 2e5);
-the two map records take a tenth of a second.
+difference.  It needs mpmath only and takes 70 to 80 s on a 2-CPU x86
+machine, most of it in P's sample nearest s = 0 (n = 2e5); the two map
+records and the two Airy records take a tenth of a second each.
 """
 
 import argparse
@@ -66,6 +78,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 P_DPS = 50
 F_DPS = 30
 MAP_DPS = 40
+AIRY_DPS = 40
 REFERENCE_LEVELS = (0, 1, 5, 37, 200)
 
 
@@ -166,6 +179,20 @@ def map_end():
         return mpmath.mpf(float(zeta_of_x(mpmath.mpf(2))))
 
 
+def a_of_u(u):
+    """A(u) = Ai(u^2) exp((2/3) u^3) at AIRY_DPS digits."""
+    with mpmath.workdps(AIRY_DPS):
+        u = mpmath.mpf(u)
+        return mpmath.airyai(u * u) * mpmath.exp(2 * u ** 3 / 3)
+
+
+def a1_of_u(u):
+    """A1(u) = -Ai'(u^2) exp((2/3) u^3) at AIRY_DPS digits."""
+    with mpmath.workdps(AIRY_DPS):
+        u = mpmath.mpf(u)
+        return -mpmath.airyai(u * u, derivative=1) * mpmath.exp(2 * u ** 3 / 3)
+
+
 def interval_end(precision):
     """3^(-2/3) in the mpmath precision context given."""
     with precision:
@@ -180,6 +207,8 @@ SERIES = (
     Series("F", big_f_of_s, 24, 17, 40, interval_end(mpmath.workdps(40))),
     Series("PHI", phi_of_e, 24, 15, MAP_DPS, mpmath.mpf(1)),
     Series("PSI", psi_of_zeta, 28, 19, MAP_DPS, map_end()),
+    Series("AI", a_of_u, 48, 34, AIRY_DPS, mpmath.mpf(3)),
+    Series("AIP", a1_of_u, 48, 35, AIRY_DPS, mpmath.mpf(3)),
 )
 
 
