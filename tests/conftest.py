@@ -1,4 +1,3 @@
-import functools
 import os
 
 import mpmath
@@ -30,32 +29,11 @@ def child_env():
                 PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-@pytest.fixture(scope="session")
-def mp_p():
-    """P_n to 50 digits from the telescoping sum at the exact nu.
-
-    The normalized recurrence psi_k = a_k nu psi_{k-1} - b_k psi_{k-2}, with
-    a_k = sqrt(2/k) and b_k = sqrt((k-1)/k), runs in mpmath at 50 digits,
-    so the double routes' roundings and their rounding of nu are absent.
-    The term 2 psi_k psi_{k-1} / sqrt(2k) is a_k psi_k psi_{k-1}.  The
-    a_k, b_k are shared by every level, and each level is computed once.
-    """
-    steps = [None]
-
-    @functools.lru_cache(maxsize=None)
-    def p(n):
-        with mpmath.workdps(50):
-            while len(steps) <= n:
-                k = len(steps)
-                steps.append((mpmath.sqrt(mpmath.mpf(2) / k),
-                              mpmath.sqrt(mpmath.mpf(k - 1) / k)))
-            nu = mpmath.sqrt(2 * n + 1)
-            prev = cur = (mpmath.pi ** mpmath.mpf(-0.25)
-                          * mpmath.exp(-nu * nu / 2))
-            total = mpmath.erfc(nu)
-            for a, b in steps[1:n + 1]:
-                prev, cur = cur, a * nu * cur - b * prev
-                total += a * cur * prev
-            return total
-
-    return p
+@pytest.fixture(autouse=True)
+def mpmath_precision_kept():
+    # mpmath's precision is one global of the process: a test that sets
+    # mpmath.mp.dps instead of using workdps sets it for every later test.
+    prec = mpmath.mp.prec
+    yield
+    left, mpmath.mp.prec = mpmath.mp.prec, prec
+    assert left == prec, "the test left mpmath.mp.prec at %d" % left

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from osctun import analysis, cli, series
 from osctun.asymptotics import leading_term, second_order
 from osctun.cli import _build_parser, _fmt, main
@@ -981,7 +982,7 @@ class TestPinnedBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_figure_five_cells_are_the_rounded_truth(self, capsys, mp_p):
+    def test_figure_five_cells_are_the_rounded_truth(self, capsys):
         # Every numeric cell is the 50-digit truth rounded to 12 significant
         # digits, within one unit in the 12th.  The error columns are
         # differences that cancel up to 5 digits of P_n, so this holds only
@@ -990,16 +991,12 @@ class TestPinnedBytes:
         assert code == 0
         head, *rows = out.splitlines()
         assert len(rows) == 100
+        c1, c2 = oracle.constants().c1, oracle.constants().c2
         with mpmath.workdps(50):
-            ai = mpmath.airyai(0)
-            aip = mpmath.airyai(0, derivative=1)
-            c1 = 2 / (mpmath.mpf(3) ** (mpmath.mpf(2) / 3)
-                      * mpmath.gamma(mpmath.mpf(1) / 3) ** 2)
-            c2 = mpmath.mpf(2) / 5 * (-ai * aip / 3)
             for row in rows:
                 cells = row.split(",")
                 n = int(cells[0])
-                p = mp_p(n)
+                p = oracle.p_n(n)
                 lead = c1 * mpmath.mpf(n) ** (-mpmath.mpf(1) / 3)
                 sec = lead - c2 / n
                 truth = (p, lead, sec, abs(p - lead), abs(p - sec),

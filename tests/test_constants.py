@@ -20,6 +20,7 @@ import math
 import mpmath
 import pytest
 
+import oracle
 import osctun
 from osctun import series, specfun
 
@@ -27,36 +28,18 @@ _MODULES = ["osctun", "osctun._kernels", "osctun.analysis",
             "osctun.asymptotics", "osctun.cli", "osctun.quadrature",
             "osctun.series", "osctun.specfun"]
 
-
-def _zeta(x):
-    """zeta(x) at the working precision."""
-    x = mpmath.mpf(x)
-    with mpmath.extradps(70):
-        r = mpmath.sqrt(x * x - 1)
-        z = (mpmath.mpf(3) / 4 * (x * r - mpmath.acosh(x))) ** (
-            mpmath.mpf(2) / 3)
-    return +z
-
-
-def _ai0():
-    return mpmath.airyai(0)
-
-
-def _aip0():
-    return mpmath.airyai(0, derivative=1)
-
-
 # The 50-digit value of each constant, by the name the walk finds.  A
 # double-double's low part is checked against the remainder of its high
 # part.
+_K = oracle.constants()
 TRUTH = {
-    "C1": lambda: 2 / (mpmath.cbrt(9) * mpmath.gamma(mpmath.mpf(1) / 3) ** 2),
-    "C2": lambda: -2 * _ai0() * _aip0() / 15,
-    "F_INFINITY": lambda: _aip0() ** 2 / mpmath.cbrt(4),
-    "_AIRY_SQ_INTEGRAL": lambda: _aip0() ** 2,
-    "_T_AIRY_SQ_INTEGRAL": lambda: -_ai0() * _aip0() / 3,
-    "ZETA_MAX": lambda: _zeta(osctun.asymptotics.X_MAX),
-    "ZETA_2": lambda: _zeta(2),
+    "C1": lambda: _K.c1,
+    "C2": lambda: _K.c2,
+    "F_INFINITY": lambda: _K.f_infinity,
+    "_AIRY_SQ_INTEGRAL": lambda: _K.aip0 ** 2,
+    "_T_AIRY_SQ_INTEGRAL": lambda: -_K.ai0 * _K.aip0 / 3,
+    "ZETA_MAX": lambda: oracle.zeta(osctun.asymptotics.X_MAX),
+    "ZETA_2": lambda: oracle.zeta(2),
     "SQRT2": lambda: mpmath.sqrt(2),
     "SQRT_PI": lambda: mpmath.sqrt(mpmath.pi),
     "INV_LN2": lambda: 1 / mpmath.log(2),
@@ -67,12 +50,12 @@ TRUTH = {
     "LN2_LO": lambda: mpmath.log(2) - osctun._kernels.LN2_HI,
     "TWO_THIRDS_HI": lambda: mpmath.mpf(2) / 3,
     "TWO_THIRDS_LO": lambda: mpmath.mpf(2) / 3 - osctun._kernels.TWO_THIRDS_HI,
-    "_G13": lambda: mpmath.gamma(mpmath.mpf(1) / 3),
+    "_G13": lambda: _K.gamma13,
     "_G23": lambda: mpmath.gamma(mpmath.mpf(2) / 3),
-    "GAMMA.gamma_one_third": lambda: mpmath.gamma(mpmath.mpf(1) / 3),
+    "GAMMA.gamma_one_third": lambda: _K.gamma13,
     "GAMMA.gamma_two_thirds": lambda: mpmath.gamma(mpmath.mpf(2) / 3),
-    "GAMMA.ai_zero": _ai0,
-    "GAMMA.ai_prime_zero": _aip0,
+    "GAMMA.ai_zero": lambda: _K.ai0,
+    "GAMMA.ai_prime_zero": lambda: _K.aip0,
     "S_MAX": lambda: mpmath.cbrt(3) ** -2,
     "P.at_zero": lambda: mpmath.erfc(1),
 }

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 import tail_sum
 from osctun import analysis, series, specfun
 from osctun.quadrature import (NonConvergenceError, QuadratureConfig,
@@ -136,11 +137,11 @@ class TestSemiInfinite:
         assert abs(val - math.pi / 2.0) <= err
 
     @pytest.mark.parametrize("n", [0, 5, 50, 300, 612, 1000])
-    def test_tunneling_within_its_own_estimate(self, n, mp_p):
+    def test_tunneling_within_its_own_estimate(self, n):
         # The quadrature oracle's err_estimate bounds its error against the
         # 50-digit P_n, and it agrees with the telescoping sum too.
         q, q_err = quad_tunneling(n)
-        assert abs(q - mp_p(n)) <= q_err
+        assert abs(q - oracle.p_n(n)) <= q_err
         r = tail_sum.tunneling_sum(n)
         assert abs(r.value - q) <= r.err_estimate + q_err
 
@@ -157,19 +158,6 @@ def quad_tunneling(n, config=None):
     return 2.0 * val, 2.0 * err
 
 
-def mp_tunneling(n):
-    """P_n by 30-digit mpmath quadrature of the Hermite density."""
-    with mpmath.workdps(30):
-        nu = mpmath.sqrt(2 * n + 1)
-        norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2 ** n
-                           * mpmath.factorial(n))
-
-        def dens(x):
-            return (mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm) ** 2
-
-        return 2 * mpmath.quad(dens, [nu, nu + 2, nu + 10, mpmath.inf])
-
-
 class TestTunneling:
     def test_ground_state_is_erfc_one(self):
         r = tunneling_exact(0)
@@ -179,17 +167,17 @@ class TestTunneling:
         assert r.err_estimate >= 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_low_levels_against_mpmath(self, n, mp_p):
-        want = mp_tunneling(n)
+    def test_low_levels_against_mpmath(self, n):
+        want = oracle.p_by_quadrature(n)
         for r in (tunneling_exact(n), tail_sum.tunneling_sum(n)):
             assert abs(r.value - want) <= r.err_estimate
         # The 50-digit reference of the spot checks agrees with quadrature.
-        assert abs(mp_p(n) - want) < 1e-25
+        assert abs(oracle.p_n(n) - want) < 1e-25
 
     @pytest.mark.parametrize("n", [100, 300, 612, 1000])
-    def test_err_estimate_bounds_50_digit_error(self, n, mp_p):
+    def test_err_estimate_bounds_50_digit_error(self, n):
         r = tunneling_exact(n)
-        assert abs(r.value - mp_p(n)) <= r.err_estimate
+        assert abs(r.value - oracle.p_n(n)) <= r.err_estimate
 
     def test_value_in_unit_interval_and_decreasing(self):
         vals = [tunneling_exact(n).value for n in range(0, 51)]
@@ -281,7 +269,7 @@ class TestTunnelingSweep:
 
 
 # P_n to 50 digits at levels where the reference sum costs about 0.5 s,
-# 5 s and 50 s: the conftest mp_p recurrence, run once and stored.
+# 5 s and 50 s: oracle.p_n, run once and stored.
 STORED_P = {
     10 ** 4: "0.0062172398729466284498726846736441027007481270119943",
     10 ** 5: "0.0028862758816535052122624605882283033780974808425806",
@@ -289,31 +277,14 @@ STORED_P = {
 }
 
 
-def mp_p_asymptotic(n):
-    """sqrt(s) (a0 + a1 s + a2 s^2), s = (2n+1)^(-2/3), at 50 digits.
-
-    a0 = 2^(4/3) Ai'(0)^2, a1 = (4/15) Ai(0) Ai'(0) and
-    a2 = (11/100) 2^(2/3) Ai(0)^2 are the first Taylor coefficients of
-    G(s) = s^(-1/2) P at s = 0; a3 s^3 is below 1e-19 of P from n = 10^9.
-    """
-    with mpmath.workdps(50):
-        ai, aip = mpmath.airyai(0), mpmath.airyai(0, derivative=1)
-        two = mpmath.mpf(2)
-        a0 = two ** (two * 2 / 3) * aip ** 2
-        a1 = mpmath.mpf(4) / 15 * ai * aip
-        a2 = mpmath.mpf(11) / 100 * two ** (two / 3) * ai ** 2
-        s = mpmath.mpf(2 * n + 1) ** (-two / 3)
-        return mpmath.sqrt(s) * (a0 + a1 * s + a2 * s * s)
-
-
 class TestTunnelingSeries:
     """The series' err_estimate bounds its error against 50-digit
     references at every level checked, from n = 0 to 10^12."""
 
-    def test_bound_against_50_digit_sums(self, mp_p):
+    def test_bound_against_50_digit_sums(self):
         ns = list(range(1, 301)) + list(range(37, 2001, 37))
         for n, (value, err) in zip(ns, _sweep(ns)):
-            assert abs(value - mp_p(n)) <= err, n
+            assert abs(value - oracle.p_n(n)) <= err, n
 
     def test_bound_against_stored_sums(self):
         for (n, text), (value, err) in zip(STORED_P.items(),
@@ -323,23 +294,21 @@ class TestTunnelingSeries:
     @pytest.mark.parametrize("n", [10 ** 9, 10 ** 12])
     def test_bound_against_asymptotic_series(self, n):
         r = tunneling_exact(n)
-        assert abs(r.value - mp_p_asymptotic(n)) <= r.err_estimate
+        assert abs(r.value - oracle.p_expansion(n)) <= r.err_estimate
 
     def test_ground_state(self):
         r = tunneling_exact(0)
         assert r.value == math.erfc(1.0)
         assert abs(r.value - mpmath.erfc(1)) <= r.err_estimate
 
-    def test_series_ends(self, mp_p):
+    def test_series_ends(self):
         # s = 0 (n -> infinity) gives a0 within 2 ulp; s = 3^(-2/3), the
         # top of the interval, gives P_1.
         g = series.chebyshev_of_s(series.P, np.array([0.0, series.S_MAX]))
-        with mpmath.workdps(50):
-            a0 = mpmath.mpf(2) ** (mpmath.mpf(4) / 3) * mpmath.airyai(
-                0, derivative=1) ** 2
+        a0 = oracle.constants().a0
         assert abs(g[0] - a0) <= 2.0 * math.ulp(float(a0))
         p1 = math.sqrt(series.S_MAX) * g[1]
-        assert abs(p1 - mp_p(1)) <= series.P.err_eps * EPS * p1
+        assert abs(p1 - oracle.p_n(1)) <= series.P.err_eps * EPS * p1
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               database=None)
@@ -362,7 +331,7 @@ class TestOneLevel:
     def test_huge_level_within_its_bound(self):
         r = tunneling_exact(10 ** 12)
         assert math.isfinite(r.value) and r.value > 0.0
-        assert abs(r.value - mp_p_asymptotic(10 ** 12)) <= r.err_estimate
+        assert abs(r.value - oracle.p_expansion(10 ** 12)) <= r.err_estimate
 
     @pytest.mark.parametrize("n", [2 ** 1023, 2 ** 1023 - 2 ** 969, 10 ** 400],
                              ids=["2^1023", "2^1023-2^969", "10^400"])
@@ -382,7 +351,7 @@ class TestOneLevel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = tunneling_exact(n)
-        assert abs(r.value - mp_p_asymptotic(n)) <= r.err_estimate
+        assert abs(r.value - oracle.p_expansion(n)) <= r.err_estimate
 
 
 class TestLadderIdentity:
