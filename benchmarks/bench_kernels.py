@@ -12,12 +12,12 @@ Prints six tables, the first four each the best of --repeats runs:
    the inversion zeta in [0, 30], a twentieth of it below zeta(2).  Then
    two one-point calls: the inversion at zeta = 11.7, which runs Newton,
    and asymptotics.olver_approx(100, 1.3).
-2. Multi-level sweeps.  P_n by one pass of the series evaluator on the
-   vector of levels (osctun.series.evaluate on the record series.P,
-   which builds no result objects), next to one tunneling_exact call per
-   level, which is timed only on sweeps of at most LOOP_LEVELS levels;
-   the last P_n row is the one level n = 10^6 both ways.  F_n by the same
-   evaluator on the record series.F.
+2. Multi-level sweeps.  P_n by one tunneling_exact call on the list of
+   levels, the call the exact and compare subcommands make, which checks
+   the levels and sums the series once over them, next to one
+   tunneling_exact call per level, which is timed only on sweeps of at
+   most LOOP_LEVELS levels; the last P_n row is the one level n = 10^6
+   both ways.  F_n by one big_f_n call on the list of levels.
 3. Two CLI calls made in process, fn --n-range 105:203 and
    compare --n-range 513:612, each writing its CSV into a temporary
    directory, split into parts: building the parser uncached
@@ -62,7 +62,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 from osctun import (_kernels, analysis, asymptotics, cli,  # noqa: E402
-                    quadrature, series)
+                    quadrature)
 
 # One tunneling_exact call costs about the same at any level, so the loop
 # of one call per level is timed on sweeps of at most this many levels.
@@ -113,7 +113,7 @@ def _loop(ns):
 
 def sweep_table(repeats):
     print("\nsweeps: best of %d runs" % repeats)
-    print("%-22s %12s %12s" % ("sweep", "series [ms]", "loop [ms]"))
+    print("%-22s %13s %12s" % ("sweep", "one call [ms]", "loop [ms]"))
     sweeps = [
         ("P_n 513..612", range(513, 613)),
         ("P_n 5..612", range(5, 613)),
@@ -121,17 +121,17 @@ def sweep_table(repeats):
         ("P_n 10^6 alone", range(10 ** 6, 10 ** 6 + 1)),
     ]
     for name, ns in sweeps:
-        t_series = best_of(repeats, series.evaluate, series.P, list(ns))
+        t_sweep = best_of(repeats, quadrature.tunneling_exact, list(ns))
         if len(ns) <= LOOP_LEVELS:
             loop = "%12.3f" % (1e3 * best_of(repeats, _loop, ns))
         else:
             loop = "%12s" % "-"
-        print("%-22s %12.3f %s" % (name, 1e3 * t_series, loop))
+        print("%-22s %13.3f %s" % (name, 1e3 * t_sweep, loop))
     fn_sweeps = [("F_n 6..104", list(range(6, 105))),
                  ("F_n 6..500 (fig 4)", list(range(6, 501)))]
     for name, ns in fn_sweeps:
-        t_series = best_of(repeats, series.evaluate, series.F, ns)
-        print("%-22s %12.3f %12s" % (name, 1e3 * t_series, "-"))
+        t_sweep = best_of(repeats, asymptotics.big_f_n, ns)
+        print("%-22s %13.3f %12s" % (name, 1e3 * t_sweep, "-"))
 
 
 def cli_table(repeats):

@@ -4,8 +4,8 @@ Everything here is deterministic: the same inputs produce bit-identical
 tables, so CSV output downstream is reproducible.  A table is its column
 names and one column per name: the levels as a list of ints, the values as
 float64 arrays.  The comparison and ratio tables take P_n and F_n from one
-series pass each and build no object per level; compare_sweep and
-ratio_sweep zip their columns into rows.
+tunneling_exact or big_f_n call over their levels and build no object per
+level; compare_sweep and ratio_sweep zip their columns into rows.
 """
 
 import math
@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _kernels, series, specfun
+from . import _kernels, quadrature, specfun
 from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms, big_f_n,
                           f_of_x, zeta_of_x)
 
@@ -64,10 +64,10 @@ def comparison_table(n_values):
     p_leading and p_second have the bits of leading_term and second_order;
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     """
-    ns = [int(n) for n in specfun._check_levels(n_values, 1)]
+    ns = specfun._check_levels(n_values, 1)
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
-    p = series.evaluate(series.P, ns)[0]
+    p = quadrature.tunneling_exact(ns).value
     lead, sec = _asymptotic_terms(ns)
     err_sec = np.abs(p - sec)
     # Python's pow, as in _asymptotic_terms, and one rounding per product.
@@ -136,7 +136,7 @@ def _figure_one():
     dens = nu * specfun.hermite_psi_squared(n, nu * u)
     inside = u[np.abs(u) < 1.0]
     classical = 1.0 / (math.pi * np.sqrt(1.0 - inside * inside))
-    p = series.evaluate(series.P, list(range(n + 1)))[0]
+    p = quadrature.tunneling_exact(range(n + 1)).value
     labels = (["density"] * points + ["classical"] * len(inside)
               + ["tunneling"] * (n + 1))
     x = np.concatenate([u, inside, np.arange(n + 1, dtype=np.float64)])

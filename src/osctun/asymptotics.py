@@ -114,9 +114,9 @@ def big_f_n(n):
     stays within 4 eps F_n from n = 1 to 10^6, and n = 10^300 gives
     F_INFINITY within 2 ulp.
     """
-    if isinstance(n, (list, tuple, range, np.ndarray)):
-        return series.evaluate(series.F, specfun._check_levels(n, 1))[0]
-    return float(series.evaluate(series.F, specfun._check_levels([n], 1)[0])[0])
+    levels, one = specfun._check_level_arg(n, 1)
+    values = series.evaluate(series.F, levels[0] if one else levels)[0]
+    return float(values) if one else values
 
 
 def _asymptotic_terms(ns):
@@ -135,7 +135,7 @@ def leading_term(n):
     second_order's bound, by the triangle inequality.  C2/n alone
     under-claims, since the next term has the same sign as the first.
     """
-    n = int(specfun._check_levels([n], 1)[0])
+    n = specfun._check_levels([n], 1)[0]
     value = float(_asymptotic_terms([n])[0][0])
     return TunnelingResult(n=n, value=value, method="leading",
                            err_estimate=C2 / n + C1 * float(n) ** (-4.0 / 3.0))
@@ -146,7 +146,7 @@ def second_order(n):
 
     err_estimate scales as the next omitted order n^(-4/3).
     """
-    n = int(specfun._check_levels([n], 1)[0])
+    n = specfun._check_levels([n], 1)[0]
     value = float(_asymptotic_terms([n])[1][0])
     return TunnelingResult(n=n, value=value, method="second-order",
                            err_estimate=C1 * float(n) ** (-4.0 / 3.0))
@@ -162,7 +162,7 @@ def olver_approx(n, x):
     exceeds the largest double (log_prefactor passes 709); then this raises
     ValueError, whose message gives log_prefactor.
     """
-    n = int(specfun._check_levels([n], 1)[0])
+    n = specfun._check_levels([n], 1)[0]
     x = float(x)
     e = specfun._check_real(x, "x", 1.0, X_MAX, "X_MAX")[0] - 1.0
     zeta, f = _kernels.zeta_f_from_e(e)

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, asymptotics, series, specfun
+from . import analysis, asymptotics, quadrature, specfun
 
 __all__ = ["main", "entry"]
 
@@ -161,7 +161,7 @@ class _UsageError(Exception):
 def _cmd_exact(args):
     return _stream(args.levels, lambda block: (
         ("n", "p_exact", "err_estimate"),
-        [block, *series.evaluate(series.P, block)]))
+        [block, *quadrature.tunneling_exact(block)[1::2]]))
 
 
 def _cmd_asympt(args):

@@ -6,9 +6,10 @@ panels whose error exceeds their length-proportional share of the tolerance
 are bisected.  A semi-infinite integral is mapped onto (0, 1) by the
 substitution x = a + u/(1-u) and integrated there.
 
-TunnelingResult holds a P_n with its method tag and error estimate, and
-tunneling_exact wraps one level of the series osctun.series.P in it.  No
-production route runs the engine; the tests check both series with it.
+TunnelingResult holds P_n with its method tag and error estimate, and
+tunneling_exact, the one entry every P_n goes through, fills it from the
+series osctun.series.P at one level or a sequence.  No production route
+runs the engine; the tests check both series with it.
 """
 
 import math
@@ -81,7 +82,7 @@ class QuadratureConfig(namedtuple(
 
 class TunnelingResult(namedtuple("TunnelingResult",
                                  "n value method err_estimate")):
-    """Tunneling probability for level n with its method tag and error estimate."""
+    """P_n with its method tag and error estimate, at one level or a sequence."""
     __slots__ = ()
 
 
@@ -239,28 +240,23 @@ def integrate_semi_infinite(f, a, config=None, breakpoints=None):
 
 
 def tunneling_exact(n, config=None):
-    """P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1), for one level.
+    """P_n = 2 * int_nu^inf psi_n^2, nu = sqrt(2n+1), at one level or a
+    sequence, from one series.evaluate pass of series.P, O(1) a level.
 
-    Parameters
-    ----------
-    n : int
-        Quantum number, n >= 0, with 2n+1 below the largest double.
-    config : QuadratureConfig, optional
-        Unused: the value comes from the Chebyshev series, not from
-        quadrature.  It is still accepted because perfbench's pn_points
-        workload passes one positionally.
-
-    Returns
-    -------
-    TunnelingResult
-        method "exact"; value in (0, 1) and err_estimate from
-        series.evaluate(series.P, [n]), whose series costs O(1) at any n
-        and gives a level the bits it has in any sweep.  The level goes
-        in as a one-element list.  Passed as itself it takes about a
-        quarter of the time, but then perfbench's traced pn_points run
-        finds its layers cover under 0.9 of its wall time (ROADMAP 1a).
+    One level, an int or numpy integer, gives a TunnelingResult of Python
+    scalars; a list, range, tuple or 1-d integer array gives one whose n
+    is a list of ints and whose value and err_estimate are float64 arrays
+    in input order, with the bits of one call per level.  Every level is
+    checked before any is computed; the first bad one raises as it would
+    alone.  method is "exact"; config is unused, but perfbench's pn_points
+    passes one.  One level still goes in as a one-element list: passed as
+    itself it takes a quarter of the time, but then perfbench's traced
+    pn_points run finds its layers cover under 0.9 of its wall time
+    (ROADMAP 1a).
     """
-    levels = specfun._check_levels([n])
+    levels, one = specfun._check_level_arg(n)
     values, errs = series.evaluate(series.P, levels)
-    return TunnelingResult(n=int(levels[0]), value=float(values[0]),
-                           method="exact", err_estimate=float(errs[0]))
+    if one:
+        return TunnelingResult(levels[0], float(values[0]), "exact",
+                               float(errs[0]))
+    return TunnelingResult(levels, values, "exact", errs)

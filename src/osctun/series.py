@@ -6,11 +6,11 @@ P_n and F_n depend on the level n only through s = nu^(-4/3) =
 S_MAX = 3^(-2/3): n = 1 is the right end and s = 0 the limit n -> infinity.
 Each is a record here, G(s) = sum_k c_k T_k(2s/S_MAX - 1) with the
 coefficients of tools/gen_series.py, and one evaluator serves both at one
-multiply-add per coefficient a level, at any level:
+multiply-add per coefficient a level, at any level, for their entries:
 
-- P, the tunneling probability P_n = G(s) / nu^(2/3).  The package
-  docstring's telescoping identity holds at real order, so G(s) =
-  s^(-1/2) P is analytic; its O(n) sum is kept only in the tests.
+- P, the tunneling probability P_n = G(s) / nu^(2/3), of tunneling_exact.
+  The package docstring's telescoping identity holds at real order, so
+  G(s) = s^(-1/2) P is analytic; its O(n) sum is kept only in the tests.
 - F, the Airy-weighted integral F_n = G(s) of asymptotics.big_f_n.
 
 nu23_of_levels is every level route's one cube root of 2n+1, so a level's
@@ -30,7 +30,7 @@ from collections import namedtuple
 import numpy as np
 
 __all__ = ["Series", "S_MAX", "P", "F", "PHI", "PSI", "AI", "AIP",
-           "nu23_of_levels", "chebyshev_of_s", "evaluate"]
+           "nu23_of_levels", "chebyshev_of_s"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -253,8 +253,8 @@ def chebyshev_of_s(series, s):
 
 
 def evaluate(series, levels):
-    """The values of series and their err_estimates at one checked level or
-    a sequence of them, in float64 of the levels' shape."""
+    """series and its err_estimates in float64 of the levels' shape, at one
+    level or a sequence that the calling entry has already checked."""
     nu23 = nu23_of_levels(levels)
     values = chebyshev_of_s(series, 1.0 / (nu23 * nu23))
     if series.over_nu23:

@@ -71,14 +71,11 @@ _MAX_LEVEL = 2 ** 1023 - 2 ** 969 - 1
 
 
 def _check_levels(ns, lowest=0):
-    """The levels ns as a list, once each is an integer n >= lowest whose
-    2n+1 fits a double.
-
-    Integer levels (not bools) are checked by one min() and one max(); any
-    other type, or a level below lowest, takes _check_n level by level,
-    which raises on the first bad level.  A level whose 2n+1 overflows a
-    double raises ValueError once every level has passed _check_n.
-    """
+    """The levels ns as a new list of ints, once each is an integer
+    n >= lowest whose 2n+1 fits a double.  Integer levels, not bools, are
+    checked by one min() and one max(); any other type, or a level below
+    lowest, takes _check_n level by level, which raises on the first bad
+    one.  A level whose 2n+1 overflows a double raises ValueError next."""
     levels = list(ns)
     types = set(map(type, levels))
     if (bool in types
@@ -88,7 +85,14 @@ def _check_levels(ns, lowest=0):
             _check_n(n, lowest)
     if levels and max(levels) > _MAX_LEVEL:
         raise ValueError("level too large: 2n+1 must fit a double")
-    return levels
+    return levels if types <= {int} else [int(n) for n in levels]
+
+
+def _check_level_arg(n, lowest=0):
+    """_check_levels of n, and whether n was one level, not a sequence."""
+    if isinstance(n, (list, tuple, range, np.ndarray)):
+        return _check_levels(n, lowest), False
+    return _check_levels([n], lowest), True
 
 
 def _check_real(x, name, lo=-math.inf, hi=math.inf, hi_name=None):

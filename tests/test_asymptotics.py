@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 import osctun
+from bad_levels import BAD_LEVELS
 from osctun import _kernels, asymptotics, series, specfun
 from osctun.asymptotics import (C1, C2, F_INFINITY, big_f_n,
                                 f_n, f_of_x, leading_term, olver_approx,
@@ -442,25 +443,7 @@ class TestFnSweep:
         with pytest.raises(ValueError):
             big_f_n(0)
 
-    @pytest.mark.parametrize("levels, error, text", [
-        ([5, True, 7], TypeError, "n must be an integer, got True"),
-        ([5, 6.0], TypeError, "n must be an integer, got 6.0"),
-        ([5, "7"], TypeError, "n must be an integer, got '7'"),
-        ([5, np.bool_(True)], TypeError, "n must be an integer, got "),
-        ([5, -3, 0], ValueError, "n must be nonnegative, got -3"),
-        ([5, 0, -3], ValueError, "n must be >= 1 (the formula diverges"),
-        (np.array([5, 0]), ValueError, "n must be >= 1 (the formula diverges"),
-        ([10 ** 400, 0], ValueError, "n must be >= 1 (the formula diverges"),
-        (True, TypeError, "n must be an integer, got True"),
-        (6.0, TypeError, "n must be an integer, got 6.0"),
-        (np.bool_(True), TypeError, "n must be an integer, got "),
-        (0, ValueError, "n must be >= 1 (the formula diverges"),
-        (np.int64(-3), ValueError, "n must be nonnegative, got -3"),
-        ((5, 6.5), TypeError, "n must be an integer, got 6.5"),
-        (range(-1, 5), ValueError, "n must be nonnegative, got -1"),
-        (np.array([5.0, 6.0]), TypeError, "n must be an integer, got "),
-        (np.array([[5, 6]]), TypeError, "n must be an integer, got "),
-    ])
+    @pytest.mark.parametrize("levels, error, text", BAD_LEVELS)
     def test_names_the_first_bad_level(self, levels, error, text,
                                        monkeypatch):
         monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)

@@ -1,7 +1,9 @@
 """Every name a module lists in __all__ exists, and is listed once, so
 `from osctun.<module> import *` cannot fail on a name that was deleted;
-and README names every name the package exports."""
+README names every name the package exports; and only the two checked
+entries reach the series evaluator."""
 
+import ast
 import importlib
 import os
 import re
@@ -9,6 +11,7 @@ import re
 import pytest
 
 import osctun
+from osctun import series
 
 MODULES = ["osctun", "osctun.specfun", "osctun.quadrature",
            "osctun.asymptotics", "osctun.analysis", "osctun.series",
@@ -29,3 +32,38 @@ def test_readme_names_every_package_export():
     with open(path, encoding="utf-8") as fh:
         words = set(re.findall(r"\w+", fh.read()))
     assert [n for n in osctun.__all__ if n not in words] == []
+
+
+def _evaluate_sites(tree):
+    """The dotted name of the function or class around each use of a name
+    or attribute called evaluate in tree, "" at module level."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            where = where + [node.name]
+        elif (isinstance(node, ast.Attribute) and node.attr == "evaluate"
+              or isinstance(node, ast.Name) and node.id == "evaluate"
+              or isinstance(node, ast.alias) and node.name == "evaluate"):
+            sites.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, [])
+    return sites
+
+
+def test_only_the_checked_entries_sum_the_level_records():
+    # series.evaluate sums a record on levels as given, so every route to
+    # it must check them first: only the entries of P_n and F_n call it,
+    # and it is not exported.
+    package = os.path.dirname(osctun.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [name[:-3] + "." + site for site in _evaluate_sites(tree)]
+    assert found == ["asymptotics.big_f_n", "quadrature.tunneling_exact"]
+    assert "evaluate" not in series.__all__

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 import tail_sum
+from bad_levels import BAD_LEVELS_FROM_0
 from osctun import analysis, series, specfun
 from osctun.quadrature import (NonConvergenceError, QuadratureConfig,
                                integrate_finite, integrate_semi_infinite,
@@ -206,16 +207,16 @@ def _must_not_run(*args):
 
 
 def _sweep(ns):
-    """(P_n, err_estimate) pairs from one series.evaluate pass over ns, the
-    route the exact and compare subcommands run."""
-    values, errs = series.evaluate(series.P, ns)
-    return list(zip(values.tolist(), errs.tolist()))
+    """(P_n, err_estimate) pairs from one tunneling_exact call over the
+    sequence ns, the call the exact and compare subcommands make."""
+    r = tunneling_exact(ns)
+    return list(zip(r.value.tolist(), r.err_estimate.tolist()))
 
 
 class TestTunnelingSweep:
-    """series.evaluate(series.P, ns) gives a level the bits of its own
-    tunneling_exact call, in any order, with repeats, next to any other
-    levels."""
+    """tunneling_exact(ns) gives a level the bits of its own one-level
+    call, in any order, with repeats, next to any other levels, for every
+    kind of sequence."""
 
     @pytest.fixture(scope="class")
     def singles(self):
@@ -224,6 +225,13 @@ class TestTunnelingSweep:
 
     def test_dense_sweep_in_order(self, singles):
         assert _sweep(range(1001)) == singles
+
+    @pytest.mark.parametrize("kind", [
+        list, tuple, lambda ns: ns, lambda ns: np.array(ns, dtype=np.int64)],
+        ids=["list", "tuple", "range", "int64-array"])
+    def test_every_sequence_kind(self, singles, kind):
+        ns = range(0, 1001, 7)
+        assert _sweep(kind(ns)) == [singles[n] for n in ns]
 
     def test_shuffled_with_duplicates(self, singles):
         ns = list(range(1001)) + [0, 0, 1, 7, 612, 1000, 1000]
@@ -247,6 +255,22 @@ class TestTunnelingSweep:
         assert type(r.value) is float and type(r.err_estimate) is float
         assert r.err_estimate == series.P.err_eps * EPS * r.value
 
+    @pytest.mark.parametrize("ns", [
+        [612, np.int64(0), np.uint64(10 ** 6)], np.array([612, 0, 10 ** 6]),
+        range(612, 613), [], (), range(0), np.array([], dtype=np.int64)],
+        ids=["mixed-list", "int64-array", "range", "empty-list",
+             "empty-tuple", "empty-range", "empty-array"])
+    def test_sequence_result_fields(self, ns):
+        r = tunneling_exact(ns)
+        assert type(r.n) is list and r.n == [int(n) for n in ns]
+        assert all(type(n) is int for n in r.n)
+        assert r.n is not ns
+        assert r.method == "exact"
+        for col in (r.value, r.err_estimate):
+            assert type(col) is np.ndarray and col.dtype == np.float64
+            assert col.shape == (len(ns),)
+        assert (r.err_estimate == series.P.err_eps * EPS * r.value).all()
+
     def test_checks_every_level_first(self, monkeypatch):
         assert _sweep([]) == []
         monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
@@ -257,11 +281,21 @@ class TestTunnelingSweep:
         with pytest.raises(TypeError):
             tunneling_exact(4.0)
 
+    @pytest.mark.parametrize("levels, error, text", BAD_LEVELS_FROM_0)
+    def test_names_the_first_bad_level(self, levels, error, text,
+                                       monkeypatch):
+        # The cases of big_f_n's test whose message does not hinge on its
+        # lowest level 1, among them [-1, 2.5, True].
+        monkeypatch.setattr(series, "chebyshev_of_s", _must_not_run)
+        with pytest.raises(error) as info:
+            tunneling_exact(levels)
+        assert str(info.value).startswith(text)
+
     def test_memory_peak(self):
-        series.evaluate(series.P, range(5, 613))
+        tunneling_exact(range(5, 613))
         tracemalloc.start()
         try:
-            series.evaluate(series.P, range(5, 613))
+            tunneling_exact(range(5, 613))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -287,9 +321,12 @@ class TestTunnelingSeries:
             assert abs(value - oracle.p_n(n)) <= err, n
 
     def test_bound_against_stored_sums(self):
+        # Parsed and subtracted at 60 digits: at mpmath's default 53 bits
+        # the reference would round to a double first.
         for (n, text), (value, err) in zip(STORED_P.items(),
                                            _sweep(list(STORED_P))):
-            assert abs(value - mpmath.mpf(text)) <= err, n
+            with mpmath.workdps(60):
+                assert abs(value - mpmath.mpf(text)) <= err, n
 
     @pytest.mark.parametrize("n", [10 ** 9, 10 ** 12])
     def test_bound_against_asymptotic_series(self, n):
@@ -326,7 +363,8 @@ class TestOneLevel:
     def test_bound_against_stored_sums(self):
         for n, text in STORED_P.items():
             r = tunneling_exact(n)
-            assert abs(r.value - mpmath.mpf(text)) <= r.err_estimate, n
+            with mpmath.workdps(60):
+                assert abs(r.value - mpmath.mpf(text)) <= r.err_estimate, n
 
     def test_huge_level_within_its_bound(self):
         r = tunneling_exact(10 ** 12)
