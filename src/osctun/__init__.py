@@ -16,10 +16,10 @@ and the identity holds at real order too, so P_n / sqrt(s) is a smooth
 function of s = (2n+1)^(-2/3).  So are the Airy-weighted integrals F_n.
 osctun.series is the one home of both: a record per series, with its
 frozen Chebyshev coefficients (tools/gen_series.py) and its err_estimate
-claim, one evaluator, and the one cube root of 2n+1.  Each quantity has
-one route and one public entry, O(1) at any level, tunneling_exact for
-P_n and big_f_n for F_n: each takes one level or a sequence, and sums a
-sequence in one vector pass with the bits of one call per level.
+claim, one evaluator, and the one cube root of 2n+1.  Each quantity has one
+route and one public entry, O(1) at any level, taking one level or a sequence
+with the bits of one call per level: tunneling_exact (P_n), leading_term and
+second_order (its asymptotic formulas) and big_f_n (F_n).
 Adaptive Gauss-Kronrod quadrature checks both in the tests; no production
 route runs it.
 """

@@ -3,8 +3,8 @@
 Everything here is deterministic: the same inputs produce bit-identical
 tables, so CSV output downstream is reproducible.  A table is its column
 names and one column per name: the levels as a list of ints, the values as
-float64 arrays.  The comparison and ratio tables take P_n and F_n from one
-tunneling_exact or big_f_n call over their levels and build no object per
+float64 arrays.  The comparison and ratio tables take each quantity from one
+call of its checked entry, looked up at call time, and build no object per
 level; compare_sweep and ratio_sweep zip their columns into rows.
 """
 
@@ -13,9 +13,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _kernels, quadrature, specfun
-from .asymptotics import (F_INFINITY, X_MAX, _asymptotic_terms, big_f_n,
-                          f_of_x, zeta_of_x)
+from . import _kernels, asymptotics, quadrature, specfun
+from .asymptotics import F_INFINITY, X_MAX, f_of_x, zeta_of_x
 
 __all__ = [
     "ComparisonRow", "LemmaReport", "FigureData",
@@ -60,17 +59,19 @@ def comparison_table(n_values):
     field: the levels as a list of ints, then one float64 array per other
     field, in input order.
 
-    Every n is checked first: 1 <= n < 2^768, past which n^(4/3) overflows.
-    p_leading and p_second have the bits of leading_term and second_order;
+    n_values is a list, range, tuple or 1-d integer array.  Every n is
+    checked first: 1 <= n < 2^768, past which n^(4/3) overflows; then each
+    entry takes n_values as it is, so a range is checked by its ends.
     scaled_err_second = err_second * n^(4/3) exposes the remainder order.
     """
     ns = specfun._check_levels(n_values, 1)
     if ns and max(ns) >= _COMPARE_LEVEL_LIMIT:
         raise ValueError("comparison requires n < 2^768 (about 1.55e231)")
-    p = quadrature.tunneling_exact(ns).value
-    lead, sec = _asymptotic_terms(ns)
+    p = quadrature.tunneling_exact(n_values).value
+    lead = asymptotics.leading_term(n_values).value
+    sec = asymptotics.second_order(n_values).value
     err_sec = np.abs(p - sec)
-    # Python's pow, as in _asymptotic_terms, and one rounding per product.
+    # Python's pow, as in the asymptotic entries, and one rounding per product.
     n43 = np.array([float(n) ** (4.0 / 3.0) for n in ns], dtype=np.float64)
     return ComparisonRow._fields, [ns, p, lead, sec, np.abs(p - lead),
                                    err_sec, err_sec * n43]
@@ -114,9 +115,9 @@ def lemma_check(x_max, grid_size):
 def ratio_table(n_values):
     """The ratios F_infinity / F_n as ("n", "ratio") and two columns: the
     levels as a list, in input order, and the ratios as a float64 array
-    from one big_f_n call."""
-    ns = list(n_values)
-    return ("n", "ratio"), [ns, F_INFINITY / big_f_n(ns)]
+    from one big_f_n call, which takes n_values as it is."""
+    ratios = F_INFINITY / asymptotics.big_f_n(n_values)
+    return ("n", "ratio"), [list(n_values), ratios]
 
 
 def ratio_sweep(n_min, n_max):

@@ -8,10 +8,11 @@ eigenfunction uniformly for x >= 1:
 
 with nu = sqrt(2n+1) and an explicit relative error bound.  Feeding this into
 the tail integral gives the leading term C1 n^(-1/3) for the tunneling
-probability and the second-order correction -C2/n.  F_n is summed from
-its frozen Chebyshev series, the record osctun.series.F, by big_f_n at
-one level or a sequence.  zeta_of_x, f_of_x = zeta/(x^2-1) and x_of_zeta
-each take a float or an array and return the same kind.
+probability and the second-order correction -C2/n, both from one body by
+leading_term and second_order.  F_n is summed from its frozen Chebyshev
+series, the record osctun.series.F, by big_f_n.  These three take one level
+or a sequence.  zeta_of_x, f_of_x = zeta/(x^2-1) and x_of_zeta each take a
+float or an array and return the same kind.
 """
 
 import math
@@ -119,37 +120,45 @@ def big_f_n(n):
     return float(values) if one else values
 
 
-def _asymptotic_terms(ns):
-    """C1 n^(-1/3) and C1 n^(-1/3) - C2/n as two float64 arrays over the
-    levels ns, the one formula for both.  n^(-1/3) takes Python's pow level
-    by level: numpy's vector power differs in the last bit at some n."""
-    x = [float(n) for n in ns]
-    lead = C1 * np.array([v ** (-1.0 / 3.0) for v in x], dtype=np.float64)
-    return lead, lead - C2 / np.array(x, dtype=np.float64)
+def _asymptotic(n, method):
+    """leading_term or second_order, as method names.  n^(-1/3) takes
+    Python's pow level by level (numpy's vector power differs in the last
+    bit at some n); err_estimate's n^(-4/3) is n^(-1/3)/n, not a second pow.
+    """
+    levels, one = specfun._check_level_arg(n, 1)
+    x = np.array(levels, dtype=np.float64)
+    root = np.array([v ** (-1.0 / 3.0) for v in levels], dtype=np.float64)
+    value, correction, err = C1 * root, C2 / x, C1 * (root / x)
+    if method == "leading":
+        err = correction + err
+    else:
+        value = value - correction
+    if one:
+        return TunnelingResult(levels[0], float(value[0]), method,
+                               float(err[0]))
+    return TunnelingResult(levels, value, method, err)
 
 
 def leading_term(n):
-    """Leading tunneling asymptotic C1 * n^(-1/3), method tag "leading".
+    """Leading tunneling asymptotic C1 * n^(-1/3), method tag "leading",
+    with tunneling_exact's contract for levels n >= 1: one level gives
+    Python scalars, and a sequence float64 arrays with the bits of one call
+    per level, every level checked before any is computed.
 
     err_estimate is C2/n + C1 n^(-4/3): the neglected correction C2/n plus
     second_order's bound, by the triangle inequality.  C2/n alone
     under-claims, since the next term has the same sign as the first.
     """
-    n = specfun._check_levels([n], 1)[0]
-    value = float(_asymptotic_terms([n])[0][0])
-    return TunnelingResult(n=n, value=value, method="leading",
-                           err_estimate=C2 / n + C1 * float(n) ** (-4.0 / 3.0))
+    return _asymptotic(n, "leading")
 
 
 def second_order(n):
-    """Two-term asymptotic C1 * n^(-1/3) - C2/n, method tag "second-order".
+    """Two-term asymptotic C1 * n^(-1/3) - C2/n, method tag "second-order",
+    at one level or a sequence, with leading_term's contract.
 
     err_estimate scales as the next omitted order n^(-4/3).
     """
-    n = specfun._check_levels([n], 1)[0]
-    value = float(_asymptotic_terms([n])[1][0])
-    return TunnelingResult(n=n, value=value, method="second-order",
-                           err_estimate=C1 * float(n) ** (-4.0 / 3.0))
+    return _asymptotic(n, "second-order")
 
 
 def olver_approx(n, x):

@@ -100,10 +100,11 @@ def _csv_columns(header, data, head=True):
 def _stream(levels, table):
     """The CSV text of a sweep over levels, in blocks of _BLOCK_LEVELS
     levels: table(block) computes one block's (header, columns), and the
-    header line heads the first block only.  A block's columns are freed
-    once its text is formatted, before the next block computes its own."""
+    header line heads the first block only.  A range's block is a range,
+    which the entries check by its ends.  A block's columns are freed once
+    its text is formatted, before the next block computes its own."""
     for start in range(0, len(levels), _BLOCK_LEVELS):
-        yield _csv_columns(*table(list(levels[start:start + _BLOCK_LEVELS])),
+        yield _csv_columns(*table(levels[start:start + _BLOCK_LEVELS]),
                            head=start == 0)
 
 
@@ -167,9 +168,9 @@ def _cmd_exact(args):
 def _cmd_asympt(args):
     if args.levels[0] < 1:
         raise _UsageError("asympt requires n >= 1 (the formula diverges at 0)")
-    k = args.order - 1
+    name = ("leading_term", "second_order")[args.order - 1]
     return _stream(args.levels, lambda block: (
-        ("n", "p_asympt"), [block, asymptotics._asymptotic_terms(block)[k]]))
+        ("n", "p_asympt"), [block, getattr(asymptotics, name)(block).value]))
 
 
 def _cmd_compare(args):

@@ -72,10 +72,14 @@ _MAX_LEVEL = 2 ** 1023 - 2 ** 969 - 1
 
 def _check_levels(ns, lowest=0):
     """The levels ns as a new list of ints, once each is an integer
-    n >= lowest whose 2n+1 fits a double.  Integer levels, not bools, are
-    checked by one min() and one max(); any other type, or a level below
-    lowest, takes _check_n level by level, which raises on the first bad
-    one.  A level whose 2n+1 overflows a double raises ValueError next."""
+    n >= lowest whose 2n+1 fits a double.  A range holds ints, so good
+    ends pass it in O(1); other integer levels, not bools, are checked by
+    one min() and one max().  Any other type, or a level below lowest,
+    takes _check_n level by level, which raises on the first bad one.  A
+    level whose 2n+1 overflows a double raises ValueError next."""
+    if isinstance(ns, range) and (not ns or lowest <= min(ns[0], ns[-1])
+                                  and max(ns[0], ns[-1]) <= _MAX_LEVEL):
+        return list(ns)
     levels = list(ns)
     types = set(map(type, levels))
     if (bool in types

@@ -551,8 +551,77 @@ class TestAsymptoticTerms:
 
     @pytest.mark.parametrize("term, k", [(leading_term, 0), (second_order, 1)])
     def test_largest_level(self, term, k):
-        n = 2 ** 1023 - 2 ** 969 - 1
-        assert term(n).value == asymptotics._asymptotic_terms([n])[k][0]
+        # k counts the correction terms: the formula itself, with Python's
+        # pow, at the largest level whose 2n+1 fits a double.
+        x = float(_LARGEST_LEVEL)
+        lead = C1 * x ** (-1.0 / 3.0)
+        assert term(_LARGEST_LEVEL).value == (lead - C2 / x if k else lead)
+
+
+_LARGEST_LEVEL = 2 ** 1023 - 2 ** 969 - 1
+_TERMS = pytest.mark.parametrize("term", [leading_term, second_order],
+                                 ids=["leading_term", "second_order"])
+
+
+class TestAsymptoticSweep:
+    """leading_term and second_order take one level or a sequence, as
+    tunneling_exact does: a sequence gives the bits of one call per
+    level, and every level is checked before any is computed."""
+
+    _LEVELS = ([1, 2, 10 ** 12, 10 ** 300, _LARGEST_LEVEL, 2, 1]
+               + list(range(3, 3000, 37)))
+
+    @_TERMS
+    @pytest.mark.parametrize("ns", [
+        _LEVELS, tuple(_LEVELS), range(1, 1001),
+        range(_LARGEST_LEVEL, 10 ** 300, -10 ** 306),
+        np.array([1, 2, 10 ** 12, 2 ** 62, 37], dtype=np.int64)],
+        ids=["list", "tuple", "range", "range-large", "int64-array"])
+    def test_every_sequence_kind(self, term, ns):
+        r = term(ns)
+        singles = [term(n) for n in ns]
+        assert type(r.n) is list and r.n == [s.n for s in singles]
+        assert all(type(n) is int for n in r.n)
+        assert r.method == singles[0].method
+        for got, field in ((r.value, "value"), (r.err_estimate,
+                                                "err_estimate")):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            want = [getattr(s, field) for s in singles]
+            assert all(type(v) is float for v in want)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @_TERMS
+    @pytest.mark.parametrize("ns", [[], (), range(0),
+                                    np.array([], dtype=np.int64)],
+                             ids=["list", "tuple", "range", "array"])
+    def test_empty_sequence(self, term, ns):
+        r = term(ns)
+        assert r.n == []
+        for col in (r.value, r.err_estimate):
+            assert type(col) is np.ndarray and col.dtype == np.float64
+            assert col.shape == (0,)
+
+    @_TERMS
+    @pytest.mark.parametrize("levels, error, text", BAD_LEVELS)
+    def test_names_the_first_bad_level(self, term, levels, error, text,
+                                       monkeypatch):
+        # Without numpy the body cannot compute a level: a check that ran
+        # after any would fail with AttributeError instead.
+        monkeypatch.setattr(asymptotics, "np", None)
+        with pytest.raises(error) as info:
+            term(levels)
+        assert str(info.value).startswith(text)
+
+    @_TERMS
+    def test_err_estimate_near_the_pow_form(self, term):
+        # n^(-4/3) is n^(-1/3)/n.  pow's n^(-4/3) errs by the rounding of
+        # -4/3 times log n, about 200 ulp at n = 10^230 (the quotient by
+        # about 50), so the two stay within 1e-13 of each other.
+        for n in (1, 2, 1000, 10 ** 12, 10 ** 200, 10 ** 230):
+            x = float(n)
+            bound = C1 * x ** (-4.0 / 3.0)
+            want = bound + (C2 / x if term is leading_term else 0.0)
+            assert abs(term(n).err_estimate - want) <= 1e-13 * want
 
 
 def log_lhs(n, x):

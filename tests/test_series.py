@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osctun import series, specfun
-from osctun.asymptotics import big_f_n
+from osctun.asymptotics import big_f_n, leading_term, second_order
 from osctun.quadrature import tunneling_exact
 
 
@@ -42,6 +42,17 @@ class TestSweepBits:
     @given(ns=_sweeps(1))
     def test_f_n(self, ns):
         assert _bits(big_f_n(ns)) == _bits(big_f_n(n) for n in ns)
+
+    @pytest.mark.parametrize("term", [leading_term, second_order],
+                             ids=["leading_term", "second_order"])
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(ns=_sweeps(1))
+    def test_asymptotic(self, term, ns):
+        r = term(ns)
+        singles = [term(n) for n in ns]
+        assert _bits(r.value) == _bits(s.value for s in singles)
+        assert _bits(r.err_estimate) == _bits(s.err_estimate for s in singles)
 
 
 class TestShapeBits:

@@ -6,6 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 import osctun
@@ -302,3 +303,43 @@ class TestOneSMap:
         monkeypatch.setattr(series, "nu23_of_levels", refuse)
         with pytest.raises(Refused):
             route()
+
+
+def _checked(ns, lowest):
+    """specfun._check_levels(ns, lowest), or the type and message of what
+    it raises."""
+    try:
+        return specfun._check_levels(ns, lowest)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_TOP = specfun._MAX_LEVEL
+# Ends near 0, near the largest level and anywhere a double's exponent
+# reaches, on both sides; a step of any size and sign.
+_ENDS = st.one_of(st.integers(-5, 5), st.integers(_TOP - 5, _TOP + 5),
+                  st.integers(-2 ** 1100, 2 ** 1100))
+_STEPS = st.one_of(st.integers(-5, 5), st.integers(-2 ** 1100, 2 ** 1100),
+                   ).filter(bool)
+
+
+class TestLevelCheck:
+    """A range is checked by its two ends, and the outcome is the one its
+    list gives: the same levels, or the same exception and message."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(start=_ENDS, count=st.integers(-3, 40), step=_STEPS,
+           past=st.integers(0, 4), lowest=st.sampled_from([0, 1]))
+    @example(start=-1, count=6, step=1, past=0, lowest=0)
+    @example(start=5, count=6, step=-1, past=0, lowest=1)
+    @example(start=_TOP - 1, count=3, step=1, past=0, lowest=0)
+    @example(start=_TOP + 1, count=3, step=-1, past=0, lowest=1)
+    @example(start=0, count=0, step=1, past=0, lowest=1)
+    def test_range_as_its_list(self, start, count, step, past, lowest):
+        # stop lies count steps from start, moved on by up to 4; a negative
+        # count gives an empty range.  At most 44 levels keep the list small.
+        stop = start + count * step + (past if step > 0 else -past)
+        levels = range(start, stop, step)
+        assert len(levels) <= 44
+        assert _checked(levels, lowest) == _checked(list(levels), lowest)
